@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the hot in-memory paths (these measure
 //! host wall time, unlike the table harnesses which report simulated
 //! time): summary serialization, checksums, directory ops, cache
-//! directory lookups — plus the four before/after pairs of the resident
-//! hot-path raw-speed pass (DESIGN.md §6j):
+//! directory lookups — plus the before/after pairs of the resident
+//! hot-path raw-speed pass (DESIGN.md §6j) and of the checksum:
 //!
 //! 1. Bloom-guarded residency probe vs the plain `HashMap` replica
 //!    directory it replaced.
@@ -11,6 +11,8 @@
 //!    directory (and the end-to-end block-map route that sits on it).
 //! 4. Zero-copy staging (device reads straight into the consumer's
 //!    slice) vs an allocate-and-double-copy staging vector.
+//! 5. The word-lane [`cksum`] of media format 2 vs the byte-serial
+//!    checksum of format 1, over one 4 KiB block; gated at >= 4x.
 //!
 //! The harness-less `main` also runs a small resident-workload check —
 //! a demand hit on a cached segment must perform **zero** tertiary
@@ -50,9 +52,31 @@ const PAIR_SLACK: f64 = 1.25;
 /// when the host runs slower than the reference, so it keeps catching
 /// code regressions instead of hypervisor steal time.
 const REF_FILL_NS: f64 = 33.0;
+/// Required speedup of the word-lane checksum over the byte-serial one.
+/// Both sides run in this process, so the ratio needs no host scaling.
+const CKSUM_GATE_SPEEDUP: f64 = 4.0;
 
-fn bench_cksum(c: &mut Criterion) {
-    let block = vec![0xa5u8; 4096];
+/// The format 1 checksum, kept only as the reference side of pair 5:
+/// one rotate-add step per byte, each depending on the last.
+fn cksum_bytewise(data: &[u8]) -> u32 {
+    let mut acc: u32 = 0x6c66_7331;
+    for (i, &b) in data.iter().enumerate() {
+        acc = acc
+            .rotate_left(5)
+            .wrapping_add(b as u32)
+            .wrapping_add(i as u32);
+    }
+    acc
+}
+
+/// Pair 5 — checksum. Before: the byte-serial format 1 sum. After: the
+/// four-lane word-at-a-time [`cksum`] every summary, checkpoint and
+/// superblock now carries.
+fn bench_cksum_pair(c: &mut Criterion) {
+    let block: Vec<u8> = (0..4096u32).map(|i| (i * 131 + 7) as u8).collect();
+    c.bench_function("cksum 4KB block (byte-serial)", |b| {
+        b.iter(|| cksum_bytewise(black_box(&block)))
+    });
     c.bench_function("cksum 4KB block", |b| b.iter(|| cksum(black_box(&block))));
 }
 
@@ -350,7 +374,7 @@ fn main() {
     // bench-time, and the gates below use the per-id minimum — a noise
     // spike during either pass cannot fail a comparison on its own.
     for _ in 0..2 {
-        bench_cksum(&mut c);
+        bench_cksum_pair(&mut c);
         bench_summary(&mut c);
         bench_dir(&mut c);
         bench_cache_dir(&mut c);
@@ -391,7 +415,7 @@ fn main() {
             route = route.min(r.mean_ns);
         }
     }
-    // (json key, before id, after id) for the four optimization pairs.
+    // (json key, before id, after id) for the five optimization pairs.
     let pairs = [
         (
             "residency_probe",
@@ -413,6 +437,11 @@ fn main() {
             "stage 256KB cluster (alloc + double copy)",
             "stage 256KB cluster (direct into image)",
         ),
+        (
+            "cksum_4k",
+            "cksum 4KB block (byte-serial)",
+            "cksum 4KB block",
+        ),
     ];
 
     println!("\nHot-path checks:");
@@ -427,6 +456,11 @@ fn main() {
             a_ns <= b_ns * PAIR_SLACK
         );
     }
+    let cksum_speedup = ns("cksum 4KB block (byte-serial)") / ns("cksum 4KB block");
+    println!(
+        "  cksum_4k speedup >= {CKSUM_GATE_SPEEDUP:.0}x:              {} ({cksum_speedup:.1}x)",
+        cksum_speedup >= CKSUM_GATE_SPEEDUP
+    );
     println!(
         "  cold fetch probed the replica dir:   {} ({} probes)",
         resident.cold_probes >= 1,

@@ -6,28 +6,48 @@
 //! segment writer flushes them; clean blocks are evicted LRU. The cache
 //! is bounded (the paper's machine had 3.2 MB of buffer cache), and the
 //! benchmarks flush it between phases exactly as §7.1 describes.
+//!
+//! Two indexes beside the block map keep every operation proportional
+//! to the blocks it touches rather than to the cache size: clean blocks
+//! ordered by their (unique) LRU tick, so eviction pops the oldest, and
+//! dirty blocks ordered by `(inode, logical block)`, the order the
+//! segment writer lays them out.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use crate::types::{BlockAddr, Ino, LBlock, UNASSIGNED};
+
+type Key = (Ino, LBlock);
 
 /// A cached block.
 #[derive(Debug)]
 pub struct Buf {
     /// Block contents (one filesystem block).
     pub data: Box<[u8]>,
-    /// `true` if the block must be written by the segment writer.
-    pub dirty: bool,
     /// The device address this copy was read from / last written to;
     /// `UNASSIGNED` for newly created blocks never yet on media.
     pub addr: BlockAddr,
-    /// LRU timestamp.
+    /// `true` if the block must be written by the segment writer. Only
+    /// the cache changes it, so its indexes stay in step.
+    dirty: bool,
+    /// LRU timestamp; unique per block.
     last_used: u64,
+}
+
+impl Buf {
+    /// `true` if the block must be written by the segment writer.
+    pub fn is_dirty(&self) -> bool {
+        self.dirty
+    }
 }
 
 /// Bounded `(ino, lblock)`-keyed block cache with dirty pinning.
 pub struct BufCache {
-    map: HashMap<(Ino, LBlock), Buf>,
+    map: HashMap<Key, Buf>,
+    /// Clean blocks by `last_used`: the first entry is the LRU victim.
+    clean: BTreeMap<u64, Key>,
+    /// Dirty blocks, inodes ascending and blocks in logical order.
+    dirty: BTreeSet<Key>,
     capacity_blocks: usize,
     block_size: usize,
     tick: u64,
@@ -38,6 +58,8 @@ impl BufCache {
     pub fn new(capacity_bytes: u64, block_size: usize) -> BufCache {
         BufCache {
             map: HashMap::new(),
+            clean: BTreeMap::new(),
+            dirty: BTreeSet::new(),
             capacity_blocks: (capacity_bytes as usize / block_size).max(8),
             block_size,
             tick: 0,
@@ -61,7 +83,7 @@ impl BufCache {
 
     /// Number of dirty (pinned) blocks.
     pub fn dirty_count(&self) -> usize {
-        self.map.values().filter(|b| b.dirty).count()
+        self.dirty.len()
     }
 
     /// `true` when the cache holds more blocks than its capacity.
@@ -71,18 +93,19 @@ impl BufCache {
 
     /// Looks up a block, refreshing its LRU position.
     pub fn get(&mut self, ino: Ino, lb: LBlock) -> Option<&Buf> {
-        self.tick += 1;
-        let tick = self.tick;
-        let buf = self.map.get_mut(&(ino, lb))?;
-        buf.last_used = tick;
-        Some(&*buf)
+        self.get_mut(ino, lb).map(|b| &*b)
     }
 
-    /// Looks up a block mutably (does not change dirtiness by itself).
+    /// Looks up a block mutably, refreshing its LRU position. Changing
+    /// `data` does not dirty the block: follow with [`Self::mark_dirty`].
     pub fn get_mut(&mut self, ino: Ino, lb: LBlock) -> Option<&mut Buf> {
         self.tick += 1;
         let tick = self.tick;
         let buf = self.map.get_mut(&(ino, lb))?;
+        if !buf.dirty {
+            self.clean.remove(&buf.last_used);
+            self.clean.insert(tick, (ino, lb));
+        }
         buf.last_used = tick;
         Some(buf)
     }
@@ -95,28 +118,39 @@ impl BufCache {
     pub fn insert(&mut self, ino: Ino, lb: LBlock, data: Box<[u8]>, dirty: bool, addr: BlockAddr) {
         assert_eq!(data.len(), self.block_size, "buffer must be one block");
         self.tick += 1;
-        self.map.insert(
-            (ino, lb),
-            Buf {
-                data,
-                dirty,
-                addr,
-                last_used: self.tick,
-            },
-        );
+        let buf = Buf {
+            data,
+            dirty,
+            addr,
+            last_used: self.tick,
+        };
+        if let Some(old) = self.map.insert((ino, lb), buf) {
+            self.unindex((ino, lb), &old);
+        }
+        if dirty {
+            self.dirty.insert((ino, lb));
+        } else {
+            self.clean.insert(self.tick, (ino, lb));
+        }
     }
 
-    /// Marks a resident block dirty.
+    /// Marks a resident block dirty, pinning it until the segment
+    /// writer flushes it. Does not refresh its LRU position.
     ///
     /// # Panics
     ///
     /// Panics if the block is not resident — dirtying data the cache does
     /// not hold is always a caller bug.
     pub fn mark_dirty(&mut self, ino: Ino, lb: LBlock) {
-        self.map
+        let buf = self
+            .map
             .get_mut(&(ino, lb))
-            .expect("mark_dirty on non-resident block")
-            .dirty = true;
+            .expect("mark_dirty on non-resident block");
+        if !buf.dirty {
+            buf.dirty = true;
+            self.clean.remove(&buf.last_used);
+            self.dirty.insert((ino, lb));
+        }
     }
 
     /// After the segment writer persists a block: record its new device
@@ -124,35 +158,40 @@ impl BufCache {
     /// (cannot happen for dirty blocks, which are pinned).
     pub fn mark_clean(&mut self, ino: Ino, lb: LBlock, addr: BlockAddr) {
         if let Some(b) = self.map.get_mut(&(ino, lb)) {
-            b.dirty = false;
+            if b.dirty {
+                b.dirty = false;
+                self.dirty.remove(&(ino, lb));
+                self.clean.insert(b.last_used, (ino, lb));
+            }
             b.addr = addr;
         }
     }
 
     /// Removes a block outright (truncate/unlink paths).
     pub fn remove(&mut self, ino: Ino, lb: LBlock) {
-        self.map.remove(&(ino, lb));
+        if let Some(old) = self.map.remove(&(ino, lb)) {
+            self.unindex((ino, lb), &old);
+        }
     }
 
     /// Removes every block belonging to `ino`.
     pub fn remove_file(&mut self, ino: Ino) {
-        self.map.retain(|&(i, _), _| i != ino);
+        let keys: Vec<Key> = self.map.keys().filter(|k| k.0 == ino).copied().collect();
+        for (i, lb) in keys {
+            self.remove(i, lb);
+        }
     }
 
     /// All dirty block keys, grouped by inode, inodes ascending and
     /// blocks in logical order — the order the segment writer lays files
     /// out (§3: LFS sorts a file's dirty blocks to keep them contiguous).
     pub fn dirty_keys(&self) -> Vec<(Ino, Vec<LBlock>)> {
-        let mut by_ino: HashMap<Ino, Vec<LBlock>> = HashMap::new();
-        for (&(ino, lb), b) in &self.map {
-            if b.dirty {
-                by_ino.entry(ino).or_default().push(lb);
+        let mut out: Vec<(Ino, Vec<LBlock>)> = Vec::new();
+        for &(ino, lb) in &self.dirty {
+            match out.last_mut() {
+                Some((last, blocks)) if *last == ino => blocks.push(lb),
+                _ => out.push((ino, vec![lb])),
             }
-        }
-        let mut out: Vec<(Ino, Vec<LBlock>)> = by_ino.into_iter().collect();
-        out.sort_by_key(|(ino, _)| *ino);
-        for (_, blocks) in &mut out {
-            blocks.sort();
         }
         out
     }
@@ -163,19 +202,11 @@ impl BufCache {
     pub fn shrink_to_capacity(&mut self) -> usize {
         let mut evicted = 0;
         while self.map.len() > self.capacity_blocks {
-            let victim = self
-                .map
-                .iter()
-                .filter(|(_, b)| !b.dirty)
-                .min_by_key(|(_, b)| b.last_used)
-                .map(|(&k, _)| k);
-            match victim {
-                Some(k) => {
-                    self.map.remove(&k);
-                    evicted += 1;
-                }
-                None => break,
-            }
+            let Some((_, key)) = self.clean.pop_first() else {
+                break;
+            };
+            self.map.remove(&key);
+            evicted += 1;
         }
         evicted
     }
@@ -183,7 +214,9 @@ impl BufCache {
     /// Drops every clean block (the paper's "buffer cache is flushed
     /// before each operation", §7.1). Dirty blocks stay pinned.
     pub fn drop_clean(&mut self) {
-        self.map.retain(|_, b| b.dirty);
+        for key in std::mem::take(&mut self.clean).into_values() {
+            self.map.remove(&key);
+        }
     }
 
     /// Iterates over `(ino, lblock, addr, dirty)` without touching LRU.
@@ -191,6 +224,15 @@ impl BufCache {
         self.map
             .iter()
             .map(|(&(ino, lb), b)| (ino, lb, b.addr, b.dirty))
+    }
+
+    /// Drops `key`'s entry from whichever index holds it.
+    fn unindex(&mut self, key: Key, buf: &Buf) {
+        if buf.dirty {
+            self.dirty.remove(&key);
+        } else {
+            self.clean.remove(&buf.last_used);
+        }
     }
 }
 
@@ -216,7 +258,7 @@ mod tests {
         let b = c.get(5, LBlock::Data(0)).unwrap();
         assert_eq!(b.data[0], 7);
         assert_eq!(b.addr, 100);
-        assert!(!b.dirty);
+        assert!(!b.is_dirty());
         assert!(c.get(5, LBlock::Data(1)).is_none());
     }
 

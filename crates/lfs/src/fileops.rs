@@ -73,7 +73,7 @@ impl Lfs {
             self.ensure_block(dino, LBlock::Data(l))?;
             let buf = self.cache.get_mut(dino, LBlock::Data(l)).expect("ensured");
             if dir::add(&mut buf.data, name, ino, kind)? {
-                buf.dirty = true;
+                self.cache.mark_dirty(dino, LBlock::Data(l));
                 let now = self.now();
                 let di = self.iget_mut(dino)?;
                 di.d.mtime = now;
@@ -111,7 +111,7 @@ impl Lfs {
             self.ensure_block(dino, LBlock::Data(l))?;
             let buf = self.cache.get_mut(dino, LBlock::Data(l)).expect("ensured");
             if let Some(ino) = dir::remove(&mut buf.data, name) {
-                buf.dirty = true;
+                self.cache.mark_dirty(dino, LBlock::Data(l));
                 let now = self.now();
                 let di = self.iget_mut(dino)?;
                 di.d.mtime = now;
@@ -268,7 +268,7 @@ impl Lfs {
             let buf = self.cache.get_mut(ino, LBlock::Data(0)).expect("ensured");
             dir::remove(&mut buf.data, "..");
             dir::add(&mut buf.data, "..", tdino, FileKind::Directory)?;
-            buf.dirty = true;
+            self.cache.mark_dirty(ino, LBlock::Data(0));
             self.iget_mut(sdino)?.d.nlink -= 1;
             self.idirty(sdino);
             self.iget_mut(tdino)?.d.nlink += 1;
@@ -349,7 +349,7 @@ impl Lfs {
             if cached {
                 let buf = self.cache.get_mut(ino, lb).expect("checked");
                 buf.data[off_in..off_in + n].copy_from_slice(&data[done..done + n]);
-                buf.dirty = true;
+                self.cache.mark_dirty(ino, lb);
             } else {
                 let old = self.bmap(ino, lb)?;
                 let full_overwrite = n == BLOCK_SIZE;
@@ -359,7 +359,7 @@ impl Lfs {
                     self.ensure_block(ino, lb)?;
                     let buf = self.cache.get_mut(ino, lb).expect("ensured");
                     buf.data[off_in..off_in + n].copy_from_slice(&data[done..done + n]);
-                    buf.dirty = true;
+                    self.cache.mark_dirty(ino, lb);
                 } else {
                     // Fresh block (or full overwrite: no need to read the
                     // old copy; keep its address for live accounting).
@@ -423,7 +423,7 @@ impl Lfs {
                 self.ensure_block(ino, LBlock::Data(l))?;
                 let buf = self.cache.get_mut(ino, LBlock::Data(l)).expect("ensured");
                 buf.data[cut..].fill(0);
-                buf.dirty = true;
+                self.cache.mark_dirty(ino, LBlock::Data(l));
             }
         }
         let now = self.now();

@@ -572,7 +572,7 @@ impl Lfs {
                     .get_mut(ino, parent)
                     .expect("ensured indirect block");
                 crate::ondisk::put_u32(&mut buf.data, idx * 4, addr);
-                buf.dirty = true;
+                self.cache.mark_dirty(ino, parent);
                 Ok(())
             }
             PointerHome::TooBig => Err(LfsError::FileTooBig),
@@ -816,7 +816,7 @@ impl Lfs {
                     let child = {
                         // A dirty cached child supersedes the media copy.
                         match self.cache.get(ino, LBlock::Ind2Child(k as u32)) {
-                            Some(b) if b.dirty => Some(b.data.to_vec()),
+                            Some(b) if b.is_dirty() => Some(b.data.to_vec()),
                             _ => None,
                         }
                     };
@@ -850,7 +850,7 @@ impl Lfs {
     /// present (freshest pointers), else an untimed media peek.
     fn audit_indirect(&mut self, ino: Ino, lb: LBlock, addr: BlockAddr) -> Result<Vec<u8>> {
         if let Some(b) = self.cache.get(ino, lb) {
-            if b.dirty {
+            if b.is_dirty() {
                 return Ok(b.data.to_vec());
             }
         }

@@ -120,7 +120,11 @@ impl Lfs {
                     // pointer patches is still fair game (its serialized
                     // content is read post-patch from the cache).
                     if !lb.is_indirect()
-                        && self.cache.get(ino, lb).map(|b| b.dirty).unwrap_or(false)
+                        && self
+                            .cache
+                            .get(ino, lb)
+                            .map(|b| b.is_dirty())
+                            .unwrap_or(false)
                     {
                         report.consumed += 1;
                         continue;

@@ -12,8 +12,15 @@
 use crate::error::{LfsError, Result};
 use crate::types::{BlockAddr, DINODE_SIZE, NDIRECT, UNASSIGNED};
 
-/// Filesystem magic number ("HighLight LFS", version 1).
-pub const SUPER_MAGIC: u64 = 0x4847_4c49_4c46_5331;
+/// On-media format version, stored as the low byte of [`SUPER_MAGIC`].
+/// Version 2 replaced the byte-serial checksum of version 1 with the
+/// word-lane [`cksum`]; nothing else in the layout changed.
+pub const FORMAT_VERSION: u8 = 2;
+
+/// Filesystem magic number: ASCII "HGLILFS" read from the high byte
+/// down, then the format version as an ASCII digit in the low byte
+/// (which, little-endian, is the first byte on media).
+pub const SUPER_MAGIC: u64 = 0x4847_4c49_4c46_5300 | (b'0' + FORMAT_VERSION) as u64;
 
 // ---------------------------------------------------------------------------
 // Little-endian field helpers.
@@ -49,18 +56,62 @@ pub fn put_u64(buf: &mut [u8], off: usize, v: u64) {
     buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
 }
 
-/// The 32-bit checksum used for summary blocks and checkpoints: a
-/// byte-position-weighted sum (order-sensitive, unlike a plain sum, so
-/// swapped words are detected).
+/// Lane seeds of [`cksum`] (fractional digits of pi).
+const CKSUM_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+/// Lane rotation of [`cksum`]; odd, so every bit position visits all 64.
+const CKSUM_ROT: u32 = 23;
+
+/// The 32-bit checksum of every on-media structure: the superblock, the
+/// checkpoint slots, `ss_sumsum` and `ss_datasum` (format version 2).
+///
+/// The input is read as little-endian `u64` words `w[k]`, four lanes
+/// wide: word `k` of each whole 32-byte group feeds lane `k % 4` as
+/// `lane = rotl(lane, 23) + (w[k] ^ k)` (wrapping add). The tail bytes
+/// `b[p]` past the last whole group feed lane 0 one at a time as
+/// `lane0 = rotl(lane0, 23) + (b[p] ^ p)`. The lanes are then combined
+/// as `h = rotl(h, 17) + lane[j]` starting from `h = len`, avalanched
+/// with the murmur3 64-bit finalizer, and folded to `(h ^ h >> 32) as
+/// u32`.
+///
+/// Every step is a bijection of the lane (and of `h`) for a fixed input,
+/// so any change to one word, including a single-bit flip, changes the
+/// 64-bit state before the fold. The fold keeps the change except with
+/// chance about 2^-32. Mixing in the position makes the sum
+/// order-sensitive (swapped words land at other indices) and keeps an
+/// all-zero lane from being a fixed point, and the length catches
+/// truncation and zero extension.
 pub fn cksum(data: &[u8]) -> u32 {
-    let mut acc: u32 = 0x6c66_7331;
-    for (i, &b) in data.iter().enumerate() {
-        acc = acc
-            .rotate_left(5)
-            .wrapping_add(b as u32)
-            .wrapping_add(i as u32);
+    let mut lanes = CKSUM_SEEDS;
+    let mut groups = data.chunks_exact(32);
+    let mut k = 0u64;
+    for group in &mut groups {
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            let w = u64::from_le_bytes(group[8 * j..8 * j + 8].try_into().expect("word"));
+            // XOR, not add, keeps the index off the lane's add chain.
+            *lane = lane.rotate_left(CKSUM_ROT).wrapping_add(w ^ (k + j as u64));
+        }
+        k += 4;
     }
-    acc
+    let tail = groups.remainder();
+    let base = (data.len() - tail.len()) as u64;
+    for (p, &b) in (base..).zip(tail) {
+        lanes[0] = lanes[0].rotate_left(CKSUM_ROT).wrapping_add(b as u64 ^ p);
+    }
+    let mut h = data.len() as u64;
+    for lane in lanes {
+        h = h.rotate_left(17).wrapping_add(lane);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^= h >> 33;
+    (h ^ (h >> 32)) as u32
 }
 
 // ---------------------------------------------------------------------------
@@ -109,8 +160,15 @@ impl Superblock {
 
     /// Parses and verifies a superblock.
     pub fn decode(buf: &[u8]) -> Result<Superblock> {
-        if get_u64(buf, 0) != SUPER_MAGIC {
-            return Err(LfsError::Corrupt("bad superblock magic"));
+        let magic = get_u64(buf, 0);
+        if magic != SUPER_MAGIC {
+            let other_version =
+                magic & !0xff == SUPER_MAGIC & !0xff && (magic as u8).is_ascii_digit();
+            return Err(LfsError::Corrupt(if other_version {
+                "unsupported on-media format version"
+            } else {
+                "bad superblock magic"
+            }));
         }
         if get_u32(buf, 48) != cksum(&buf[..48]) {
             return Err(LfsError::Corrupt("bad superblock checksum"));

@@ -212,7 +212,7 @@ impl Lfs {
                             let parent_dirty = self
                                 .cache
                                 .get(ino, parent)
-                                .map(|b| b.dirty)
+                                .map(|b| b.is_dirty())
                                 .unwrap_or(false);
                             if !parent_dirty {
                                 // Materialize and dirty the parent.

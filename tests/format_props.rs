@@ -5,7 +5,9 @@ use highlight::migrator::AccessTracker;
 use highlight::{TsegTable, UniformMap};
 use hl_lfs::config::AddressMap;
 use hl_lfs::dir;
-use hl_lfs::ondisk::{Checkpoint, Dinode, Finfo, IfileEntry, SegSummary, SegUse, CHECKPOINT_SLOT};
+use hl_lfs::ondisk::{
+    cksum, Checkpoint, Dinode, Finfo, IfileEntry, SegSummary, SegUse, CHECKPOINT_SLOT,
+};
 use hl_lfs::types::{FileKind, DINODE_SIZE, NDIRECT, UNASSIGNED};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -65,8 +67,78 @@ fn arb_summary() -> impl Strategy<Value = SegSummary> {
         })
 }
 
+/// A checksum input of `32 * groups + tail` bytes. The checksum reads
+/// whole 32-byte groups four words at a time and the tail one byte at a
+/// time, so a non-zero `tail` exercises the byte path.
+fn arb_payload(
+    groups: std::ops::Range<usize>,
+    tail: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<u8>> {
+    (groups, tail, any::<u64>()).prop_map(|(g, t, seed)| {
+        let mut x = seed | 1;
+        (0..32 * g + t)
+            .map(|_| {
+                // xorshift64: cheap, full-period, never all zero.
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    #[test]
+    fn cksum_detects_every_single_bit_flip(
+        data in arb_payload(0..40, 1..32),
+        at in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let mut flipped = data.clone();
+        let at = at % data.len();
+        flipped[at] ^= 1 << bit;
+        prop_assert!(cksum(&flipped) != cksum(&data), "flip at byte {} bit {}", at, bit);
+    }
+
+    /// Words `a` and `b = a + gap` trade places. They share a lane
+    /// when the gap is a multiple of four and sit in different lanes
+    /// otherwise. Lengths with a tail are included, so words past the
+    /// last whole group are swapped too.
+    #[test]
+    fn cksum_detects_swapped_words(
+        data in arb_payload(16..40, 0..32),
+        a in any::<usize>(),
+        gap in 1usize..16,
+        same_lane in any::<bool>(),
+    ) {
+        let gap = if same_lane { 4 * gap } else { gap + (gap % 4 == 0) as usize };
+        let a = a % (data.len() / 8 - gap);
+        let b = a + gap;
+        let (wa, wb) = (8 * a..8 * a + 8, 8 * b..8 * b + 8);
+        if data[wa.clone()] == data[wb.clone()] {
+            return Ok(()); // swapping equal words changes nothing
+        }
+        let mut swapped = data.clone();
+        swapped[wa.clone()].copy_from_slice(&data[wb.clone()]);
+        swapped[wb].copy_from_slice(&data[wa]);
+        prop_assert!(cksum(&swapped) != cksum(&data), "swap of words {} and {}", a, b);
+    }
+
+    #[test]
+    fn cksum_detects_truncation_and_zero_extension(
+        data in arb_payload(0..40, 1..32),
+        cut in any::<usize>(),
+        extra in 1usize..64,
+    ) {
+        let cut = 1 + cut % data.len();
+        prop_assert!(cksum(&data[..data.len() - cut]) != cksum(&data), "cut {}", cut);
+        let mut longer = data.clone();
+        longer.resize(data.len() + extra, 0);
+        prop_assert!(cksum(&longer) != cksum(&data), "zero-extended by {}", extra);
+    }
 
     #[test]
     fn dinode_round_trips(d in arb_dinode()) {
@@ -242,6 +314,38 @@ proptest! {
         // Coverage: the furthest block ever touched is inside an extent.
         let ex = t.extents(1);
         prop_assert!(ex.iter().any(|e| e.end >= max_end), "tail coverage lost");
+    }
+}
+
+/// Every single-bit flip of whole blocks, not a sample: the zero block
+/// (no carries), the all-ones block, a summary block's `ss_sumsum`
+/// range (4092 bytes: a 28-byte tail) and a short tail-only input.
+#[test]
+fn cksum_detects_every_bit_flip_exhaustively() {
+    let mut ramp = vec![0u8; 4092];
+    for (i, b) in ramp.iter_mut().enumerate() {
+        *b = (i * 7) as u8;
+    }
+    for data in [
+        vec![0u8; 4096],
+        vec![0xffu8; 4096],
+        ramp,
+        b"HighLight".to_vec(),
+    ] {
+        let want = cksum(&data);
+        let mut flipped = data.clone();
+        for at in 0..data.len() {
+            for bit in 0..8 {
+                flipped[at] ^= 1 << bit;
+                assert_ne!(
+                    cksum(&flipped),
+                    want,
+                    "len {} byte {at} bit {bit}",
+                    data.len()
+                );
+                flipped[at] ^= 1 << bit;
+            }
+        }
     }
 }
 

@@ -2,7 +2,8 @@
 //! freeze the media format: any encoding change — intended or not —
 //! fails here and forces a conscious decision (the structures are read
 //! back by crash recovery, so silent drift would break remounts of
-//! existing images).
+//! existing images). The snapshots are of format version 2 (word-lane
+//! checksum); an intended change bumps `FORMAT_VERSION` and re-pins.
 
 use hl_lfs::ondisk::{Checkpoint, Dinode, Finfo, SegSummary, Superblock, CHECKPOINT_SLOT};
 use hl_lfs::types::DINODE_SIZE;
@@ -36,8 +37,8 @@ fn superblock_hex_snapshot() {
     assert!(blk[52..].iter().all(|&b| b == 0), "padding not zeroed");
     let got = hex(&blk[..52]);
     let want = "\
-3153464c494c4748001000000000030050030000020000000010000010000000\n\
-005003000000000015cd5b070000000033a05604";
+3253464c494c4748001000000000030050030000020000000010000010000000\n\
+005003000000000015cd5b0700000000cdd9d8f5";
     assert_eq!(got, want, "\nsuperblock bytes changed; got:\n{got}");
     assert_eq!(Superblock::decode(&blk).unwrap(), sb);
 }
@@ -59,7 +60,7 @@ fn checkpoint_hex_snapshot() {
     let got = hex(&slot[..48]);
     let want = "\
 07000000000000002800000000000000d20400000500000011000000b168de3a\n\
-00000000030000000000000065376c34";
+0000000003000000000000007bea130e";
     assert_eq!(got, want, "\ncheckpoint bytes changed; got:\n{got}");
     assert_eq!(Checkpoint::decode(&slot), Some(c));
 }
@@ -82,7 +83,7 @@ fn summary_hex_snapshot() {
     assert!(buf[56..504].iter().all(|&b| b == 0), "padding not zeroed");
     let front = hex(&buf[..56]);
     let want_front = "\
-c225d2358c1e1c43000001000900000000000000010001000000000003000000\n\
+042e828dd3bcfba0000001000900000000000000010001000000000003000000\n\
 0200000004000000001000000000000001000000ffffffff";
     assert_eq!(front, want_front, "\nsummary front changed; got:\n{front}");
     let back = hex(&buf[512 - 8..]);

@@ -1,15 +1,16 @@
 //! Crash-recovery edge cases on the base LFS — stale summaries in
-//! reused segments, torn checkpoint slots, and a crash during the
-//! checkpoint write itself — plus the tertiary engine's degraded-mode
-//! edge (DESIGN.md §6f): the writer lane dying mid copy-out stream and
-//! the mantle failing over to a spare drive.
+//! reused segments, torn checkpoint slots, a crash during the
+//! checkpoint write itself, and an image in an older media format —
+//! plus the tertiary engine's degraded-mode edge (DESIGN.md §6f): the
+//! writer lane dying mid copy-out stream and the mantle failing over to
+//! a spare drive.
 
 use std::rc::Rc;
 
 use hl_lfs::config::AddressMap;
 use hl_lfs::fs::CHECKPOINT_ADDR;
-use hl_lfs::ondisk::{Checkpoint, SegSummary, Superblock, CHECKPOINT_SLOT};
-use hl_lfs::{Lfs, LfsConfig, LinearMap, NoTertiary};
+use hl_lfs::ondisk::{put_u64, Checkpoint, SegSummary, Superblock, CHECKPOINT_SLOT, SUPER_MAGIC};
+use hl_lfs::{Lfs, LfsConfig, LfsError, LinearMap, NoTertiary};
 use hl_sim::Clock;
 use hl_vdev::{BlockDev, CrashDev, CrashPlan, Disk, DiskProfile, BLOCK_SIZE};
 
@@ -124,6 +125,36 @@ fn stale_summary_in_reused_segment_is_rejected_by_serial_chain() {
 
 /// Corrupting the newest checkpoint slot must fall back to the
 /// alternate (older) slot, never fail the mount.
+/// An image from format version 1 (byte-serial checksum) must be
+/// refused at the superblock with a version error. Mounting it would
+/// fail every `ss_datasum` on roll-forward and silently truncate the
+/// log at the checkpoint.
+#[test]
+fn version_1_image_is_refused_at_mount() {
+    let r = rig();
+    let mut lfs = r.mount().0;
+    write_some(&mut lfs, "/f", 0x11, 3 * BLOCK_SIZE);
+    lfs.sync().expect("sync");
+    drop(lfs);
+
+    let mut sb_blk = vec![0u8; BLOCK_SIZE];
+    r.disk.peek(0, &mut sb_blk).expect("peek sb");
+    put_u64(&mut sb_blk, 0, (SUPER_MAGIC & !0xff) | b'1' as u64);
+    r.disk.poke(0, &sb_blk).expect("poke sb");
+    let err = hl_lfs::recovery::mount_with_report(
+        r.disk.clone() as Rc<dyn BlockDev>,
+        r.amap.clone(),
+        Rc::new(NoTertiary),
+        r.cfg.clone(),
+    )
+    .err()
+    .expect("a version 1 image must not mount");
+    assert_eq!(
+        err,
+        LfsError::Corrupt("unsupported on-media format version")
+    );
+}
+
 #[test]
 fn torn_checkpoint_slot_falls_back_to_alternate() {
     let r = rig();
