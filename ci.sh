@@ -344,9 +344,9 @@ print("BENCH_policies.json OK:",
       "beats-baseline:", beats)
 EOF
 
-# Hot-path micro gate (DESIGN.md §6j, ROADMAP item 4): five before/after
-# pairs (Bloom-guarded residency, slab tickets, open-addressed
-# directory, zero-copy staging, word-lane checksum), the <= 55 ns
+# Hot-path micro gate (DESIGN.md §6j, ROADMAP item 4): four before/after
+# pairs (Bloom-guarded residency, open-addressed directory, zero-copy
+# staging, word-lane checksum), the <= 55 ns
 # single-block route budget (scaled by a same-process host-speed anchor
 # on slow shared hosts), and the trace-derived resident-hit contract —
 # a demand hit on a cached segment performs zero tertiary
@@ -354,8 +354,8 @@ EOF
 # sum >= 4x faster than the byte-serial one; both sides run in one
 # process, so the ratio is host-anchored. Any "false" in the "Hot-path
 # checks" block fails the gate. BENCH_micro.json must exist and parse
-# with all five pairs.
-echo "==> hot-path micro gate (route ns + 5 opt pairs + zero-probe resident hits)"
+# with all four pairs.
+echo "==> hot-path micro gate (route ns + 4 opt pairs + zero-probe resident hits)"
 mc=$(cargo bench -q -p hl-bench --bench micro 2>&1)
 echo "$mc" | grep -A 10 "Hot-path checks"
 if echo "$mc" | grep -A 10 "Hot-path checks" | grep -q "false"; then
@@ -378,8 +378,8 @@ assert route["mean_ns"] <= route["gate_ns"] * route["host_scale"], (
 assert route["mean_ns"] < m["seed_baseline_ns"]["route_peek_1_block"], (
     "route is no faster than the seed baseline")
 pairs = m["pairs"]
-assert set(pairs) == {"residency_probe", "ticket_alloc", "dir_lookup",
-                      "staging_copy", "cksum_4k"}, sorted(pairs)
+assert set(pairs) == {"residency_probe", "dir_lookup", "staging_copy",
+                      "cksum_4k"}, sorted(pairs)
 for name, p in pairs.items():
     for key in ("before_ns", "after_ns", "speedup"):
         assert key in p, f"{name}: missing {key}"

@@ -6,12 +6,11 @@
 //!
 //! 1. Bloom-guarded residency probe vs the plain `HashMap` replica
 //!    directory it replaced.
-//! 2. Slab-allocated tickets vs a per-request `Rc<RefCell<..>>`.
-//! 3. Open-addressed [`SegDir`] vs `HashMap` for the segment-cache
+//! 2. Open-addressed [`SegDir`] vs `HashMap` for the segment-cache
 //!    directory (and the end-to-end block-map route that sits on it).
-//! 4. Zero-copy staging (device reads straight into the consumer's
+//! 3. Zero-copy staging (device reads straight into the consumer's
 //!    slice) vs an allocate-and-double-copy staging vector.
-//! 5. The word-lane [`cksum`] of media format 2 vs the byte-serial
+//! 4. The word-lane [`cksum`] of media format 2 vs the byte-serial
 //!    checksum of format 1, over one 4 KiB block; gated at >= 4x.
 //!
 //! The harness-less `main` also runs a small resident-workload check —
@@ -29,7 +28,7 @@ use std::rc::Rc;
 
 use highlight::blockmap::BlockMapDev;
 use highlight::segcache::{EjectPolicy, LineState, SegCache};
-use highlight::{Outcome, ReplicaSet, SegDir, TertiaryIo, Ticket, TsegTable, UniformMap};
+use highlight::{ReplicaSet, SegDir, TertiaryIo, TsegTable, UniformMap};
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_lfs::dir;
 use hl_lfs::ondisk::{cksum, Finfo, SegSummary};
@@ -41,10 +40,7 @@ const ROUTE_GATE_NS: f64 = 55.0;
 /// Noise allowance for the before/after pairs: the optimized side must
 /// stay within this factor of its reference on this host. Wide enough
 /// to absorb shared-host noise; a real regression (the pre-optimization
-/// code was 2-9x slower on three of the four pairs) still trips it. The
-/// ticket pair's honest claim is *parity*: the slab matches the `Rc`
-/// cell's raw speed while adding stale-handle detection and bounded
-/// memory, so parity-within-noise is the right check there too.
+/// code was 2-9x slower on every pair) still trips it.
 const PAIR_SLACK: f64 = 1.25;
 /// A bare 4 KiB fill on the reference machine — the irreducible data
 /// movement inside the 1-block route (a never-written block reads back
@@ -56,7 +52,7 @@ const REF_FILL_NS: f64 = 33.0;
 /// Both sides run in this process, so the ratio needs no host scaling.
 const CKSUM_GATE_SPEEDUP: f64 = 4.0;
 
-/// The format 1 checksum, kept only as the reference side of pair 5:
+/// The format 1 checksum, kept only as the reference side of pair 4:
 /// one rotate-add step per byte, each depending on the last.
 fn cksum_bytewise(data: &[u8]) -> u32 {
     let mut acc: u32 = 0x6c66_7331;
@@ -69,7 +65,7 @@ fn cksum_bytewise(data: &[u8]) -> u32 {
     acc
 }
 
-/// Pair 5 — checksum. Before: the byte-serial format 1 sum. After: the
+/// Pair 4 — checksum. Before: the byte-serial format 1 sum. After: the
 /// four-lane word-at-a-time [`cksum`] every summary, checkpoint and
 /// superblock now carries.
 fn bench_cksum_pair(c: &mut Criterion) {
@@ -221,30 +217,7 @@ fn bench_residency_pair(c: &mut Criterion) {
     });
 }
 
-/// Pair 2 — request tickets. Before: the shape the slab replaced — one
-/// `Rc` allocation per request with a `RefCell` outcome slot. After:
-/// slab [`Ticket`]s recycling generation-tagged slots from a free list.
-fn bench_ticket_pair(c: &mut Criterion) {
-    c.bench_function("ticket alloc+complete+drop (rc-refcell)", |b| {
-        b.iter(|| {
-            let t: Rc<RefCell<Option<Outcome>>> = Rc::new(RefCell::new(None));
-            let peer = Rc::clone(&t);
-            *t.borrow_mut() = Some(Outcome::Eject(true));
-            let done = peer.borrow().is_some();
-            black_box(done)
-        })
-    });
-    c.bench_function("ticket alloc+complete+drop (slab)", |b| {
-        b.iter(|| {
-            let t = Ticket::new();
-            let peer = t.clone();
-            t.complete_for_test(Outcome::Eject(true));
-            black_box(peer.is_done())
-        })
-    });
-}
-
-/// Pair 3 — segment-cache directory. Before: `HashMap<SegNo, LineNo>`.
+/// Pair 2 — segment-cache directory. Before: `HashMap<SegNo, LineNo>`.
 /// After: the open-addressed [`SegDir`] the cache now routes through.
 /// The key stream mixes 512 hits with 128 misses, like a scan.
 fn bench_dir_pair(c: &mut Criterion) {
@@ -270,7 +243,7 @@ fn bench_dir_pair(c: &mut Criterion) {
     });
 }
 
-/// Pair 4 — segment staging. Before: allocate a fresh staging vector
+/// Pair 3 — segment staging. Before: allocate a fresh staging vector
 /// per transfer, fill it from the device, then copy it into the
 /// consumer's image. After: the device reads straight into the
 /// consumer's slice — no allocation, no intermediate copy (the
@@ -381,7 +354,6 @@ fn main() {
         bench_fill_anchor(&mut c);
         bench_blockmap_route(&mut c);
         bench_residency_pair(&mut c);
-        bench_ticket_pair(&mut c);
         bench_dir_pair(&mut c);
         bench_staging_pair(&mut c);
     }
@@ -415,17 +387,12 @@ fn main() {
             route = route.min(r.mean_ns);
         }
     }
-    // (json key, before id, after id) for the five optimization pairs.
+    // (json key, before id, after id) for the four optimization pairs.
     let pairs = [
         (
             "residency_probe",
             "residency probe, 256 segs (hashmap dir)",
             "residency probe, 256 segs (bloom-guarded)",
-        ),
-        (
-            "ticket_alloc",
-            "ticket alloc+complete+drop (rc-refcell)",
-            "ticket alloc+complete+drop (slab)",
         ),
         (
             "dir_lookup",

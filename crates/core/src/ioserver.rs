@@ -149,12 +149,6 @@ impl<W> Actor<W> for IoActor {
         // arrived while the lane was busy.
         let queued = start.saturating_sub(op.enqueued_at.max(self.free_since));
         self.inner.phases.borrow_mut().add(phase::QUEUING, queued);
-        self.inner.queues.borrow_mut().log(format!(
-            "io< d{} {} seg {} t{start}",
-            self.drive,
-            op.class.label(),
-            op.seg.map_or(-1i64, |s| s as i64),
-        ));
         // Queue residency (enqueue to device start) goes to the trace;
         // `SvcStats`' wait counters are derived from it.
         self.inner.tracer.queuing(

@@ -450,9 +450,6 @@ impl TioInner {
             error,
         });
         self.jukebox.abandon_drive(at, drive);
-        self.queues
-            .borrow_mut()
-            .log(format!("io! drive d{drive} down t{at}"));
         if let Some(h) = &*self.handles.borrow() {
             if let Some(&id) = h.io.get(drive) {
                 h.waker.wake(id, at);
@@ -467,27 +464,17 @@ impl TioInner {
     pub(crate) fn redispatch(&self, mut op: DevOp, at: SimTime, from_drive: u32, error: DevError) {
         op.attempts += 1;
         if op.attempts > MAX_REDISPATCH {
-            self.queues.borrow_mut().log(format!(
-                "io! {} seg {} gave up after {} re-dispatches",
-                op.class.label(),
-                op.seg.map_or("-".to_string(), |s| s.to_string()),
-                op.attempts - 1,
-            ));
+            self.tracer.mark(
+                at,
+                &format!("redispatch-exhausted {} d{from_drive}", op.span),
+            );
             self.fail_op(op, at, error);
             return;
         }
         self.tracer.redispatch(at, op.span, from_drive);
         op.ready_at = at;
         op.bypassed = 0;
-        {
-            let mut q = self.queues.borrow_mut();
-            q.log(format!(
-                "io> redispatch {} seg {} from d{from_drive} t{at}",
-                op.class.label(),
-                op.seg.map_or("-".to_string(), |s| s.to_string())
-            ));
-            q.devq.push_back(op);
-        }
+        self.queues.borrow_mut().devq.push_back(op);
         self.wake_io(at);
     }
 
@@ -506,9 +493,6 @@ impl TioInner {
                 at: now,
                 drive: drive as u32,
             });
-            self.queues
-                .borrow_mut()
-                .log(format!("io! drive d{drive} up t{now}"));
             return ProbeOutcome::Recovered;
         }
         let (retired, next, all_retired) = {
@@ -525,9 +509,7 @@ impl TioInner {
             }
         };
         if retired {
-            self.queues
-                .borrow_mut()
-                .log(format!("io! drive d{drive} retired t{now}"));
+            self.tracer.mark(now, &format!("drive-retired d{drive}"));
             if all_retired {
                 self.drain_dead(now);
             }
@@ -542,7 +524,7 @@ impl TioInner {
     /// flags the pool dead so future dispatches fail fast.
     fn drain_dead(&self, at: SimTime) {
         self.all_retired.set(true);
-        self.queues.borrow_mut().log(format!("io! pool dead t{at}"));
+        self.tracer.mark(at, "pool-dead");
         let ops: Vec<DevOp> = self.queues.borrow_mut().devq.drain(..).collect();
         for op in ops {
             self.fail_op(op, at, DevError::Offline);
@@ -635,9 +617,6 @@ impl TioInner {
                     req.enqueued_at.min(now),
                     now,
                 );
-                self.queues
-                    .borrow_mut()
-                    .log(format!("svc eject seg {seg} -> {ok} t{now}"));
                 self.tracer.close_span(now, req.span, ok);
                 req.ticket.complete(Outcome::Eject(ok));
             }
@@ -770,11 +749,6 @@ impl TioInner {
         let ready = op.ready_at;
         let depth = {
             let mut q = self.queues.borrow_mut();
-            q.log(format!(
-                "io+ {} seg {} ready t{ready}",
-                op.class.label(),
-                op.seg.map_or("-".to_string(), |s| s.to_string())
-            ));
             q.devq.push_back(op);
             q.devq.len()
         };
@@ -804,9 +778,6 @@ impl TioInner {
                     }
                 }
                 let end = report.end;
-                self.queues
-                    .borrow_mut()
-                    .log(format!("io! scrub done t{end}"));
                 self.tracer.close_span(end, op.span, true);
                 op.ticket.complete(Outcome::Scrub(Box::new(report)));
                 ExecResult::Done(end)
@@ -845,10 +816,7 @@ impl TioInner {
 
     fn fail_fetch(&self, op: &DevOp, seg: SegNo, at: SimTime, err: HlError) {
         self.cache.borrow_mut().eject(seg);
-        let mut q = self.queues.borrow_mut();
-        q.retire_fetch(seg);
-        q.log(format!("io! fetch seg {seg} failed"));
-        drop(q);
+        self.queues.borrow_mut().retire_fetch(seg);
         self.tracer.close_span(at, op.span, false);
         op.ticket.complete(Outcome::Fetch(Err(err)));
     }
@@ -935,11 +903,7 @@ impl TioInner {
             cache.set_state(seg, LineState::Clean);
             cache.set_ready_at(seg, ready);
         }
-        {
-            let mut q = self.queues.borrow_mut();
-            q.retire_fetch(seg);
-            q.log(format!("io! fetch seg {seg} ready t{ready}"));
-        }
+        self.queues.borrow_mut().retire_fetch(seg);
         if let Some(demand_enq) = op.demand_enq {
             self.notify(StallEvent::Resumed {
                 seg,
@@ -1009,9 +973,6 @@ impl TioInner {
                     v.next_slot = v.next_slot.max(slot + 1);
                 }
                 let end = self.write_replicas(w.end, drive, seg, vol, &buf);
-                self.queues
-                    .borrow_mut()
-                    .log(format!("io! copyout seg {seg} done t{end}"));
                 let mut stats = self.stats.borrow_mut();
                 stats.copyouts += 1;
                 stats.copyout_time += end - op.enqueued_at;
@@ -1032,9 +993,6 @@ impl TioInner {
                     vol,
                     slot,
                 });
-                self.queues
-                    .borrow_mut()
-                    .log(format!("io! copyout seg {seg} hit end-of-medium"));
                 self.tracer.close_span(r.end, op.span, false);
                 op.ticket
                     .complete(Outcome::CopyOut(Err(DevError::EndOfMedium { written })));
@@ -1747,10 +1705,6 @@ impl TertiaryIo {
                     .tracer
                     .join(at, parent, tclass(class_of(mode)));
             }
-            self.inner
-                .queues
-                .borrow_mut()
-                .log(format!("join {} seg {tert_seg} t{at}", class_of(mode).label()));
             self.inner.wake_svc(at);
             return shared;
         }
@@ -1766,7 +1720,6 @@ impl TertiaryIo {
         let ticket = Ticket::new();
         self.push_request(Request {
             class: class_of(mode),
-            seq: 0,
             seg: Some(tert_seg),
             mode: Some(mode),
             enqueued_at: at,
@@ -1789,7 +1742,6 @@ impl TertiaryIo {
         let ticket = Ticket::new();
         self.push_request(Request {
             class: ReqClass::CopyOut,
-            seq: 0,
             seg: Some(tert_seg),
             mode: None,
             enqueued_at: at,
@@ -1835,7 +1787,6 @@ impl TertiaryIo {
         let ticket = Ticket::new();
         self.push_request(Request {
             class: ReqClass::CopyOut,
-            seq: 0,
             seg: Some(tert_seg),
             mode: None,
             enqueued_at: at,
@@ -1855,7 +1806,6 @@ impl TertiaryIo {
         let ticket = Ticket::new();
         self.push_request(Request {
             class: ReqClass::Eject,
-            seq: 0,
             seg: Some(tert_seg),
             mode: None,
             enqueued_at: at,
@@ -1875,7 +1825,6 @@ impl TertiaryIo {
         let ticket = Ticket::new();
         self.push_request(Request {
             class: ReqClass::Scrub,
-            seq: 0,
             seg: None,
             mode: None,
             enqueued_at: at,
@@ -1897,10 +1846,7 @@ impl TertiaryIo {
             .open_span(at, tclass(req.class), req.seg.map(|s| s as u64));
         let depth = {
             let mut q = self.inner.queues.borrow_mut();
-            let label = req.class.label();
-            let seg = req.seg.map_or("-".to_string(), |s| s.to_string());
-            let seq = q.push(req);
-            q.log(format!("+req {seq} {label} seg {seg} t{at}"));
+            q.push(req);
             q.reqq_len()
         };
         self.inner
@@ -1966,33 +1912,6 @@ impl TertiaryIo {
     pub fn queue_depths(&self) -> (usize, usize) {
         let q = self.inner.queues.borrow();
         (q.reqq_len(), q.devq.len())
-    }
-
-    /// The engine's deterministic event transcript plus how many lines
-    /// were dropped at the cap.
-    pub fn transcript(&self) -> (Vec<String>, u64) {
-        let q = self.inner.queues.borrow();
-        let (lines, dropped) = q.transcript();
-        (lines.to_vec(), dropped)
-    }
-
-    /// FNV-1a digest of the transcript: byte-identical engine histories
-    /// (per seed) hash equal across runs.
-    pub fn transcript_digest(&self) -> u64 {
-        let q = self.inner.queues.borrow();
-        let (lines, dropped) = q.transcript();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        for line in lines {
-            for b in line.bytes() {
-                mix(b);
-            }
-            mix(b'\n');
-        }
-        h ^ dropped
     }
 
     /// Operations the I/O server has executed against its devices.
@@ -2124,6 +2043,7 @@ mod tests {
     use crate::segcache::{EjectPolicy, SegCache};
     use crate::UniformMap;
     use hl_footprint::{Jukebox, JukeboxConfig};
+    use hl_trace::EventKind;
     use hl_vdev::{Disk, DiskProfile, FaultConfig, FaultPlan};
     use std::rc::Rc;
 
@@ -2466,10 +2386,24 @@ mod tests {
         let q = tio.phases().get(phase::QUEUING);
         assert_eq!(q, DISPATCH_CPU);
         assert!(q * 20 < end, "queuing must be a negligible share");
-        // The engine's transcript records the whole request history.
-        let (lines, dropped) = tio.transcript();
-        assert!(lines.iter().any(|l| l.contains("+req 0 demand")));
-        assert!(lines.iter().any(|l| l.contains("io! fetch")));
-        assert_eq!(dropped, 0);
+        // The trace records the whole request history: the demand span
+        // opens at enqueue and closes ok when the fill lands.
+        let tracer = tio.tracer();
+        let events = tracer.events();
+        let span = events
+            .iter()
+            .find_map(|e| match e.kind {
+                EventKind::SpanOpen {
+                    span,
+                    class: hl_trace::Class::Demand,
+                    ..
+                } if e.at == 0 => Some(span),
+                _ => None,
+            })
+            .expect("the demand span opens at enqueue");
+        assert!(events
+            .iter()
+            .any(|e| e.at == end && e.kind == EventKind::SpanClose { span, ok: true }));
+        assert_eq!(tracer.dropped(), 0);
     }
 }

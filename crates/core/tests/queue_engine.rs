@@ -1,7 +1,7 @@
 //! Integration tests for the event-driven tertiary engine: duplicate
 //! fetches coalesce onto one media read, the service process dispatches
 //! in priority order, bounded queues push back, and per-seed engine
-//! transcripts replay byte-identically.
+//! traces replay byte-identically.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -11,6 +11,7 @@ use highlight::segcache::LineState;
 use highlight::{EjectPolicy, SegCache, TertiaryIo, TsegTable, UniformMap};
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_sim::Scheduler;
+use hl_trace::EventKind;
 use hl_vdev::{Disk, DiskProfile};
 
 fn rig(cache_lines: u32) -> (TertiaryIo, Jukebox, UniformMap) {
@@ -90,12 +91,17 @@ fn dispatch_order_is_demand_copyout_prefetch_scrub() {
     let demand = tio.enqueue_demand(0, demand_seg);
     tio.pump();
 
-    let (lines, dropped) = tio.transcript();
-    assert_eq!(dropped, 0);
-    let dispatched: Vec<&str> = lines
+    // Each op's queue residency is traced when a lane starts it; the
+    // emission order of those `Queuing` events is the dispatch order.
+    let tracer = tio.tracer();
+    assert_eq!(tracer.dropped(), 0);
+    let dispatched: Vec<&str> = tracer
+        .events()
         .iter()
-        .filter(|l| l.starts_with("io+ "))
-        .map(|l| l.split_whitespace().nth(1).unwrap())
+        .filter_map(|e| match e.kind {
+            EventKind::Queuing { class, .. } => Some(class.label()),
+            _ => None,
+        })
         .collect();
     assert_eq!(dispatched, ["demand", "copyout", "prefetch", "scrub"]);
 
@@ -137,10 +143,10 @@ fn try_enqueue_copy_out_pushes_back_at_the_queue_cap() {
     assert_eq!(tio.queue_depths(), (0, 0));
 }
 
-/// Satellite: identical request histories produce byte-identical engine
-/// transcripts (and equal digests) across independent runs.
+/// Identical request histories produce byte-identical engine traces
+/// (and equal digests) across independent runs.
 #[test]
-fn engine_transcript_replays_byte_identical() {
+fn engine_trace_replays_byte_identical() {
     fn scenario() -> (Vec<String>, u64) {
         let (tio, jb, map) = rig(3);
         jb.poke_segment(0, 3, &vec![5u8; 1 << 20]).unwrap();
@@ -163,9 +169,8 @@ fn engine_transcript_replays_byte_identical() {
         tio.enqueue_copy_out(0, staged);
         tio.enqueue_eject(0, a);
         tio.pump();
-        let (lines, dropped) = tio.transcript();
-        assert_eq!(dropped, 0);
-        (lines, tio.transcript_digest())
+        assert_eq!(tio.tracer().dropped(), 0);
+        (tio.tracer().render_text(), tio.trace_digest())
     }
 
     let (lines_a, digest_a) = scenario();

@@ -17,11 +17,14 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use highlight::{EjectPolicy, SegCache, TertiaryIo, TsegTable, UniformMap};
+use highlight::requests::MAX_REDISPATCH;
+use highlight::segcache::LineState;
+use highlight::{EjectPolicy, SegCache, TertiaryIo, TsegTable, UniformMap, MAX_DRIVES};
 use hl_footprint::{Footprint, Jukebox, JukeboxConfig};
 use hl_lfs::config::AddressMap;
 use hl_sim::Scheduler;
-use hl_vdev::{Disk, DiskProfile, FaultConfig, FaultPlan};
+use hl_trace::EventKind;
+use hl_vdev::{DevError, Disk, DiskProfile, FaultConfig, FaultPlan};
 
 /// 64 disk segments, 4 volumes × 8 slots, 1 MB segments, `drives`
 /// jukebox drives, and a roomy cache.
@@ -44,6 +47,18 @@ fn rig(drives: usize) -> (TertiaryIo, Jukebox, UniformMap) {
     let tseg = Rc::new(RefCell::new(TsegTable::new()));
     let tio = TertiaryIo::new(map, Rc::new(jb.clone()), disk, cache, tseg);
     (tio, jb, map)
+}
+
+/// The labels of every free-form `Mark` the engine traced, in order.
+fn marks(tio: &TertiaryIo) -> Vec<String> {
+    tio.tracer()
+        .events()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Mark { label } => Some(label),
+            _ => None,
+        })
+        .collect()
 }
 
 fn assert_clean(tio: &TertiaryIo) {
@@ -190,8 +205,8 @@ fn starvation_guard_bounds_demand_wait_behind_an_affinity_batch() {
 
 /// The pool's schedule — lane assignment, affinity picks, robot
 /// serialization — is part of the engine's determinism contract: two
-/// runs of the same scenario produce byte-identical transcripts and
-/// equal trace digests.
+/// runs of the same scenario produce byte-identical traces and equal
+/// trace digests.
 #[test]
 fn pool_schedule_is_byte_deterministic_per_seed() {
     let run = || {
@@ -213,14 +228,13 @@ fn pool_schedule_is_byte_deterministic_per_seed() {
             t.fetch_result().unwrap();
         }
         assert_clean(&tio);
-        let (lines, dropped) = tio.transcript();
-        assert_eq!(dropped, 0);
-        (lines, tio.transcript_digest(), tio.trace_digest())
+        assert_eq!(tio.tracer().dropped(), 0);
+        (tio.tracer().render_text(), tio.trace_digest())
     };
-    let (la, ta, da) = run();
-    let (lb, tb, db) = run();
-    assert_eq!(la, lb, "transcripts diverged between identical runs");
-    assert_eq!(ta, tb, "transcript digests diverged");
+    let (la, da) = run();
+    let (lb, db) = run();
+    assert!(!la.is_empty());
+    assert_eq!(la, lb, "traces diverged between identical runs");
     assert_eq!(da, db, "trace digests diverged");
 }
 
@@ -326,6 +340,10 @@ fn solo_drive_death_retires_the_pool_and_fails_tickets() {
     let st = tio.stats();
     assert_eq!(st.drive_down, 1);
     assert_eq!(tio.lane_health(), vec![false]);
+    // The retirement and the dead-pool drain are traced decisions, in
+    // that order, before the drained ticket's span closes.
+    let marks = marks(&tio);
+    assert_eq!(marks, ["drive-retired d0", "pool-dead"]);
     assert_clean(&tio);
 }
 
@@ -334,23 +352,7 @@ fn solo_drive_death_retires_the_pool_and_fails_tickets() {
 /// lanes silently; now `SvcStats` flags it and tracecheck reports it.
 #[test]
 fn lane_sharing_is_flagged_when_drives_exceed_lanes() {
-    let disk = Rc::new(Disk::new(DiskProfile::RZ57, 2 + 64 * 256, None));
-    let map = UniformMap::new(2, 256, 64, 4, 8);
-    let jb = Jukebox::new(
-        JukeboxConfig {
-            volumes: 4,
-            segments_per_volume: 8,
-            drives: highlight::MAX_DRIVES + 1,
-            ..JukeboxConfig::hp6300_paper()
-        },
-        None,
-    );
-    let cache = Rc::new(RefCell::new(SegCache::new(
-        (40..52).collect::<Vec<_>>(),
-        EjectPolicy::Lru,
-    )));
-    let tseg = Rc::new(RefCell::new(TsegTable::new()));
-    let tio = TertiaryIo::new(map, Rc::new(jb.clone()), disk, cache, tseg);
+    let (tio, jb, map) = rig(MAX_DRIVES + 1);
     jb.poke_segment(0, 0, &vec![1u8; 1 << 20]).unwrap();
     let t = tio.enqueue_demand(0, map.tert_seg(0, 0));
     tio.pump();
@@ -362,5 +364,46 @@ fn lane_sharing_is_flagged_when_drives_exceed_lanes() {
             .iter()
             .any(|f| f.to_string().contains("share lanes")),
         "tracecheck must report the silent lane sharing: {findings:?}"
+    );
+}
+
+/// A platter stranded in a dead drive past the lane count: drive 8 of a
+/// 9-drive jukebox has no lane to down it, so its platter is never
+/// abandoned and every copy-out to that volume routes back into the
+/// dead drive. Past `MAX_REDISPATCH` re-dispatches the engine gives up,
+/// fails the ticket with the drive's error, and traces the decision.
+#[test]
+fn redispatch_gives_up_past_the_bound_on_a_stranded_platter() {
+    let (tio, jb, map) = rig(MAX_DRIVES + 1);
+    let stranded = MAX_DRIVES;
+    let mut buf = vec![0u8; 1 << 20];
+    jb.read_segment_on(0, stranded, 3, 0, &mut buf).unwrap();
+    assert_eq!(jb.loaded_volumes()[stranded], Some(3));
+    let plan = FaultPlan::new(FaultConfig::none(19));
+    plan.fail_drive_at(stranded as u32, 0);
+    jb.set_fault_plan(plan);
+    let seg = map.tert_seg(3, 1);
+    let cache = tio.cache();
+    cache
+        .borrow_mut()
+        .allocate(seg, LineState::Staging, 0)
+        .unwrap();
+    cache.borrow_mut().set_state(seg, LineState::DirtyWait);
+    let t = tio.enqueue_copy_out(0, seg);
+    tio.pump();
+    assert!(
+        matches!(t.copyout_result(), Err(DevError::DriveDead { .. })),
+        "the exhausted op must fail with the drive's error"
+    );
+    assert_eq!(tio.stats().redispatched, MAX_REDISPATCH as u64);
+    let marks = marks(&tio);
+    assert_eq!(marks.len(), 1, "{marks:?}");
+    assert!(marks[0].starts_with("redispatch-exhausted "), "{marks:?}");
+    let findings = tio.trace_findings();
+    assert!(
+        findings
+            .iter()
+            .all(|f| f.to_string().contains("share lanes")),
+        "only the lane sharing may be reported: {findings:?}"
     );
 }
