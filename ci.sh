@@ -227,6 +227,10 @@ EOF
 # object = exactly one media read), and fairness (a prefetch-storm
 # tenant degrades the victim's demand p95 at most 2x over solo). Any
 # "false" fails the gate. BENCH_server.json must exist and parse.
+# Step-count gate: workers sleep on ticket completion wakers instead of
+# polling, so shared-queue at 1000 clients must take at most 25
+# scheduler steps per request (2x the measured 12.5). The polling
+# workers they replaced took 154.9 and fail it.
 echo "==> client-fleet server smoke (pool sweep + determinism + QoS)"
 sv=$(cargo bench -q -p hl-server --bench server_fleet 2>&1)
 echo "$sv" | grep -E "Determinism check|Coalescing check|Fairness check|Fleet checks" -A 4 | head -20
@@ -255,12 +259,17 @@ for pool, counts in fleet.items():
         for key in ("p50_us", "p95_us", "p99_us", "completed", "errors",
                     "lost_tickets", "tracecheck_findings", "tenant_admits",
                     "tenant_throttles", "steals", "demand_fetches",
-                    "coalesced_fetches", "end_time_us", "trace_digest"):
+                    "coalesced_fetches", "end_time_us", "steps_per_request",
+                    "trace_digest"):
             assert key in row, f"{pool}/{c}: missing {key}"
         assert row["errors"] == 0, f"{pool}/{c}: protocol errors"
         assert row["lost_tickets"] == 0, f"{pool}/{c}: lost tickets"
         assert row["tracecheck_findings"] == 0, f"{pool}/{c}: findings"
         assert row["completed"] == 2 * int(c), f"{pool}/{c}: completions"
+steps = fleet["shared-queue"]["1000"]["steps_per_request"]
+assert steps <= 25.0, (
+    f"shared-queue/1000: {steps} scheduler steps per request > 25 "
+    "(workers polling again?)")
 assert data["coalescing"]["media_reads"] == 1, "server coalescing broke"
 fair = data["fairness"]
 assert fair["ratio"] <= fair["bound"], "fairness gate: victim p95 > 2x solo"
@@ -269,7 +278,7 @@ assert fair["storm_admits"] > 0, "storm was starved outright"
 print("BENCH_server.json OK:",
       {p: {c: fleet[p][c]["p95_us"] for c in sorted(fleet[p], key=int)}
        for p in sorted(fleet)},
-      "fairness ratio", fair["ratio"])
+      "fairness ratio", fair["ratio"], "steps/request", steps)
 EOF
 
 # Policy suite (DESIGN.md §6i): direct unit tests for the migration

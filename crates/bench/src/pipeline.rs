@@ -419,6 +419,9 @@ pub fn run(cfg: PipelineConfig) -> PipelineResult {
             pending: None,
         },
     );
+    // The rig's own actors share the engine's trace: the migrator's
+    // backpressure parks are part of the Table 4/6 story.
+    sched.trace_actor(migrator_id, tio.tracer());
     if let Some(load) = cfg.demand {
         // The foreground reads round-robin across the top `hot_volumes`
         // volumes, well away from the copy-out stream's write volumes.
@@ -434,7 +437,8 @@ pub fn run(cfg: PipelineConfig) -> PipelineResult {
                     .expect("poke demand segment");
             }
         }
-        sched.spawn_at(load.start, DemandActor { load, issued: 0 });
+        let demand = sched.spawn_at(load.start, DemandActor { load, issued: 0 });
+        sched.trace_actor(demand, tio.tracer());
     }
     let mut world = World {
         tio: tio.clone(),

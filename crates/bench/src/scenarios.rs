@@ -558,7 +558,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
                 // sustained interest, not one spike.
                 store = store.with_flash_crowd(*at as u64, *requests as u64, 0.7);
             }
-            sched.spawn_at(
+            let id = sched.spawn_at(
                 0,
                 FlashCrowdActor {
                     store,
@@ -569,10 +569,11 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
                     issued: 0,
                 },
             );
+            sched.trace_actor(id, tio.tracer());
         }
         ScenarioKind::HierarchyScan { readahead } => {
             let scan = HierarchyScan::backup(cfg.volumes, spv, *readahead);
-            sched.spawn_at(
+            let id = sched.spawn_at(
                 0,
                 ScanActor {
                     steps: scan.steps(),
@@ -581,6 +582,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
                     behind: None,
                 },
             );
+            sched.trace_actor(id, tio.tracer());
         }
         ScenarioKind::TenantThrash {
             readers,
@@ -603,18 +605,16 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
                 // The mix's own schedule (default: ARRIVAL_STAGGER per
                 // id — the same ramp the server fleet replays).
                 let start = tenant.arrival as SimTime;
-                match tenant.kind {
-                    TenantKind::Reader => {
-                        sched.spawn_at(
-                            start,
-                            ReaderActor {
-                                tenant,
-                                reads: *reads_per_tenant,
-                                issued: 0,
-                                waiting: None,
-                            },
-                        );
-                    }
+                let id = match tenant.kind {
+                    TenantKind::Reader => sched.spawn_at(
+                        start,
+                        ReaderActor {
+                            tenant,
+                            reads: *reads_per_tenant,
+                            issued: 0,
+                            waiting: None,
+                        },
+                    ),
                     TenantKind::Writer => {
                         let mut targets = tenant.working_set;
                         targets.truncate(*copyouts_per_writer as usize);
@@ -625,9 +625,10 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
                                 idx: 0,
                                 pending_seal: None,
                             },
-                        );
+                        )
                     }
-                }
+                };
+                sched.trace_actor(id, tio.tracer());
             }
         }
     }

@@ -200,6 +200,9 @@ impl<W> Actor<W> for IoActor {
 
 /// Spawns the engine's actors (parked) on `sched` — the service process
 /// plus one I/O lane per jukebox drive — and returns their wake handles.
+/// Each actor's park/wake activity goes to this engine's own tracer, so
+/// engines sharing one scheduler (the server's shards) each record only
+/// their own actors.
 pub(crate) fn spawn_engine<W: 'static>(
     inner: &Rc<TioInner>,
     sched: &mut Scheduler<W>,
@@ -207,14 +210,17 @@ pub(crate) fn spawn_engine<W: 'static>(
     let svc = sched.spawn_parked(SvcActor {
         inner: inner.clone(),
     });
+    sched.trace_actor(svc, inner.tracer.clone());
     let drives = inner.jukebox.drives().clamp(1, MAX_DRIVES);
     let spawn_lane = |sched: &mut Scheduler<W>, d: usize| {
-        sched.spawn_parked(IoActor {
+        let id = sched.spawn_parked(IoActor {
             inner: inner.clone(),
             drive: d,
             label: format!("io-server-d{d}"),
             free_since: 0,
-        })
+        });
+        sched.trace_actor(id, inner.tracer.clone());
+        id
     };
     // Reader lanes first (ties at equal wake times resolve toward
     // them), writer lane last; `io` stays indexed by drive.

@@ -12,8 +12,9 @@
 //! synthetically.
 //!
 //! Completion flows back through [`Ticket`]s: a cloneable one-shot cell
-//! the enqueuer polls after the engine quiesces (the synchronous façade)
-//! or after a wake (the actor-driven benches). Duplicate fetches of one
+//! the enqueuer reads after the engine quiesces (the synchronous façade)
+//! or after a wake (the actor-driven benches and the server's workers,
+//! which [`Ticket::watch`] it and park). Duplicate fetches of one
 //! tertiary segment *coalesce* onto a single ticket, so N concurrent
 //! readers cost one media read and observe one `ready_at`.
 
@@ -24,6 +25,7 @@ use std::rc::Rc;
 use hl_footprint::VolumeId;
 use hl_lfs::types::SegNo;
 use hl_sim::time::{SimTime, MS};
+use hl_sim::{ActorId, Waker};
 use hl_vdev::DevError;
 
 use crate::fault::HlError;
@@ -158,7 +160,16 @@ pub enum Outcome {
 /// fetch share a single ticket, so they necessarily agree on `ready_at`.
 #[derive(Clone, Debug, Default)]
 pub struct Ticket {
-    cell: Rc<RefCell<Option<Outcome>>>,
+    cell: Rc<RefCell<TicketCell>>,
+}
+
+/// The shared state behind every clone of one [`Ticket`]. Watchers live
+/// beside the outcome so a ticket stays one allocation; an unwatched
+/// ticket's empty `Vec` allocates nothing.
+#[derive(Debug, Default)]
+struct TicketCell {
+    outcome: Option<Outcome>,
+    watchers: Vec<(Waker, ActorId)>,
 }
 
 impl Ticket {
@@ -174,20 +185,41 @@ impl Ticket {
         self.complete(outcome);
     }
 
-    /// Resolves the ticket. Completing twice is a bug in the engine.
+    /// Resolves the ticket and wakes every watcher once, at the time of
+    /// the scheduler step doing the resolving ([`Waker::wake_now`]).
+    /// Completing twice is a bug in the engine.
     pub(crate) fn complete(&self, outcome: Outcome) {
-        let prev = self.cell.borrow_mut().replace(outcome);
-        debug_assert!(prev.is_none(), "ticket completed twice");
+        let watchers = {
+            let mut cell = self.cell.borrow_mut();
+            let prev = cell.outcome.replace(outcome);
+            debug_assert!(prev.is_none(), "ticket completed twice");
+            std::mem::take(&mut cell.watchers)
+        };
+        for (waker, id) in watchers {
+            waker.wake_now(id);
+        }
+    }
+
+    /// Asks for actor `id` to be woken through `waker` when this ticket
+    /// resolves: the completion-event alternative to polling
+    /// [`Self::is_done`]. The wake lands at the time of the step that
+    /// resolves the ticket. Watching a ticket that has already resolved
+    /// registers nothing — the caller reads the outcome now instead.
+    pub fn watch(&self, waker: &Waker, id: ActorId) {
+        let mut cell = self.cell.borrow_mut();
+        if cell.outcome.is_none() {
+            cell.watchers.push((waker.clone(), id));
+        }
     }
 
     /// `true` once an outcome has been posted.
     pub fn is_done(&self) -> bool {
-        self.cell.borrow().is_some()
+        self.cell.borrow().outcome.is_some()
     }
 
     /// The posted outcome, if any.
     pub fn outcome(&self) -> Option<Outcome> {
-        self.cell.borrow().clone()
+        self.cell.borrow().outcome.clone()
     }
 
     /// Reads a fetch outcome.

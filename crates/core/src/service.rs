@@ -1442,10 +1442,9 @@ impl TertiaryIo {
             copyout_waiters: RefCell::new(Vec::new()),
             iotrack: RefCell::new(iotrack),
             watermark: Cell::new(0),
-            tracer: tracer.clone(),
+            tracer,
         });
         let mut engine = Scheduler::new();
-        engine.set_tracer(tracer);
         let handles = spawn_engine(&inner, &mut engine);
         *inner.handles.borrow_mut() = Some(handles);
         TertiaryIo {
@@ -1868,9 +1867,11 @@ impl TertiaryIo {
     /// Returns the service-process id and the I/O lane ids (one per
     /// drive). After this, the synchronous façades must not be used:
     /// completion is observed by running the external scheduler and
-    /// polling tickets.
+    /// reading (or [watching](Ticket::watch)) tickets. Only the engine's
+    /// own actors are traced; a rig that wants its actors' park/wake
+    /// activity in this engine's trace opts them in with
+    /// [`Scheduler::trace_actor`].
     pub fn attach_engine<W: 'static>(&self, sched: &mut Scheduler<W>) -> (ActorId, Vec<ActorId>) {
-        sched.set_tracer(self.inner.tracer.clone());
         let handles = spawn_engine(&self.inner, sched);
         let ids = (handles.svc, handles.io.clone());
         *self.inner.handles.borrow_mut() = Some(handles);

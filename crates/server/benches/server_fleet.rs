@@ -15,6 +15,10 @@
 //! * fairness — with a prefetch-storm tenant sharing the server, the
 //!   victim tenant's demand p95 degrades at most 2x over running solo.
 //!
+//! Each row also records `steps_per_request`: scheduler steps (every
+//! actor, engine included) per answered request, the host-side cost
+//! that event-driven workers keep low; `ci.sh` gates it at 1000 clients.
+//!
 //! Emits `BENCH_server.json` at the repository root.
 
 use std::path::Path;
@@ -91,7 +95,8 @@ fn row_json(r: &FleetReport) -> String {
          \"errors\":{},\"lost_tickets\":{},\"tracecheck_findings\":{},\
          \"tenant_admits\":{},\"tenant_throttles\":{},\"steals\":{},\
          \"demand_fetches\":{},\"coalesced_fetches\":{},\
-         \"end_time_us\":{},\"trace_digest\":\"{:016x}\"}}",
+         \"end_time_us\":{},\"steps_per_request\":{:.1},\
+         \"trace_digest\":\"{:016x}\"}}",
         r.p50,
         r.p95,
         r.p99,
@@ -105,6 +110,7 @@ fn row_json(r: &FleetReport) -> String {
         r.demand_fetches,
         r.coalesced_fetches,
         r.end_time,
+        r.sched_steps as f64 / r.completed.max(1) as f64,
         r.digest,
     )
 }

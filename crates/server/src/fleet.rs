@@ -5,10 +5,11 @@
 //! scheduler. A client encodes a request frame onto its connection,
 //! marks the connection ready in the pool, and parks; a worker decodes
 //! the frame, drives the engine (tagging every fetch with the client's
-//! tenant so the fair queue sees it), and wakes the client when the
-//! response frame is on the wire. Latency is measured where the paper's
-//! users would feel it: from frame sent to frame received, in virtual
-//! time.
+//! tenant so the fair queue sees it), watches the request's ticket and
+//! parks, and — woken at the step that resolves the ticket — wakes the
+//! client when the response frame is on the wire. Latency is measured
+//! where the paper's users would feel it: from frame sent to frame
+//! received, in virtual time.
 //!
 //! Closed-loop clients keep one request outstanding (think time
 //! between); open-loop clients fire on a fixed schedule regardless of
@@ -31,10 +32,10 @@ use crate::pool::{PoolKind, PoolState, WakeHint};
 use crate::proto::{Req, RequestFrame, ResponseFrame};
 use crate::shard::{obj_image, ShardSpec, ShardedEngine};
 
-/// Worker ticket-poll period. Media operations run for seconds, so a
-/// 20 ms poll costs little precision and keeps step counts sane at
-/// thousand-client scale.
-const POLL: SimTime = 20 * MS;
+/// Retry period of a `Put` waiting for a free cache line to stage into.
+/// It is the fleet's one timed retry: nothing fires an event when a
+/// cache line frees, so the worker re-tries the allocation on a timer.
+const LINE_RETRY: SimTime = 20 * MS;
 
 /// Protocol error codes the server returns.
 const ERR_FETCH: u32 = 1;
@@ -165,6 +166,8 @@ pub struct FleetReport {
     pub coalesced_fetches: u64,
     /// Virtual completion time of the whole fleet, µs.
     pub end_time: SimTime,
+    /// Scheduler steps the run took (every actor, engine included).
+    pub sched_steps: u64,
 }
 
 /// The shared world every fleet actor steps against.
@@ -249,7 +252,7 @@ impl Actor<FleetWorld> for ClientActor {
             // Get/Put answers carry the virtual completion time of the
             // media work (the engine future-dates tickets), so latency
             // is measured to that instant — the user-felt residency —
-            // not to the worker's poll tick.
+            // not to the step that sent the response.
             let done = match r.result {
                 Ok(v) if op == 1 || op == 2 => v.max(now),
                 _ => now,
@@ -345,6 +348,7 @@ impl WorkerActor {
                 }
                 let (si, seg) = w.engine.locate(obj);
                 let ticket = w.engine.shards[si].tio.enqueue_demand_for(f.tenant, now, seg);
+                ticket.watch(&w.waker, w.worker_ids[self.idx]);
                 self.gets.push(InFlightGet {
                     conn,
                     req_id: f.req_id,
@@ -412,12 +416,11 @@ impl WorkerActor {
         }
     }
 
-    fn poll_gets(&mut self, w: &mut FleetWorld, now: SimTime) {
-        let mut keep = Vec::new();
-        for g in self.gets.drain(..) {
+    /// Answers every get whose ticket has resolved, in arrival order.
+    fn answer_gets(&mut self, w: &mut FleetWorld, now: SimTime) {
+        self.gets.retain(|g| {
             if !g.ticket.is_done() {
-                keep.push(g);
-                continue;
+                return true;
             }
             let result = match g.ticket.fetch_result() {
                 Ok((_, ready)) => Ok(ready),
@@ -431,80 +434,105 @@ impl WorkerActor {
                     result,
                 },
             );
-        }
-        self.gets = keep;
+            false
+        });
     }
 
-    fn poll_puts(&mut self, w: &mut FleetWorld, now: SimTime) {
-        let mut keep = Vec::new();
-        for mut p in self.puts.drain(..) {
-            match &p.stage {
-                PutStage::NeedLine => {
-                    let (si, seg) = w.engine.locate(p.obj);
-                    let shard = &w.engine.shards[si];
-                    let allocated = shard
-                        .tio
-                        .cache()
-                        .borrow_mut()
-                        .allocate(seg, LineState::Staging, now);
-                    if let Some((disk_seg, _)) = allocated {
-                        let image = obj_image(w.seed ^ 0x9157_0000 ^ si as u64, seg);
-                        let wslot = shard
-                            .tio
-                            .disks_handle()
-                            .write(now, shard.map.seg_base(disk_seg) as u64, &image)
-                            .expect("staging write");
-                        shard
-                            .tio
-                            .cache()
-                            .borrow_mut()
-                            .set_state(seg, LineState::DirtyWait);
-                        p.stage = PutStage::Sealed {
-                            seg,
-                            shard: si,
-                            at: wslot.end,
-                        };
-                    }
-                    keep.push(p);
+    /// Moves every put as far through its stages as it can go now and
+    /// answers the finished ones. Returns the earliest time a put must
+    /// be retried on a timer (`None`: every open put waits on an event).
+    fn advance_puts(&mut self, w: &mut FleetWorld, now: SimTime) -> Option<SimTime> {
+        let me = w.worker_ids[self.idx];
+        let mut retry: Option<SimTime> = None;
+        self.puts.retain_mut(|p| match advance_put(p, w, now, me) {
+            PutWait::Answered => false,
+            PutWait::Event => true,
+            PutWait::Until(t) => {
+                retry = Some(retry.map_or(t, |r| r.min(t)));
+                true
+            }
+        });
+        retry
+    }
+}
+
+/// What a put waits on once [`advance_put`] can take it no further.
+enum PutWait {
+    /// Done: the response is on the wire.
+    Answered,
+    /// A wake: its copy-out ticket resolving, or a copy-out freeing
+    /// request-queue space.
+    Event,
+    /// A timer: the seal time, or the next free-line retry.
+    Until(SimTime),
+}
+
+/// Runs one put through as many stages as it can clear at `now`; the
+/// worker `me` is registered for whatever event it then waits on.
+fn advance_put(p: &mut InFlightPut, w: &mut FleetWorld, now: SimTime, me: ActorId) -> PutWait {
+    loop {
+        match &p.stage {
+            PutStage::NeedLine => {
+                let (si, seg) = w.engine.locate(p.obj);
+                let shard = &w.engine.shards[si];
+                let allocated = shard
+                    .tio
+                    .cache()
+                    .borrow_mut()
+                    .allocate(seg, LineState::Staging, now);
+                let Some((disk_seg, _)) = allocated else {
+                    return PutWait::Until(now + LINE_RETRY);
+                };
+                let image = obj_image(w.seed ^ 0x9157_0000 ^ si as u64, seg);
+                let wslot = shard
+                    .tio
+                    .disks_handle()
+                    .write(now, shard.map.seg_base(disk_seg) as u64, &image)
+                    .expect("staging write");
+                shard
+                    .tio
+                    .cache()
+                    .borrow_mut()
+                    .set_state(seg, LineState::DirtyWait);
+                p.stage = PutStage::Sealed {
+                    seg,
+                    shard: si,
+                    at: wslot.end,
+                };
+            }
+            &PutStage::Sealed { seg, shard, at } => {
+                if now < at {
+                    return PutWait::Until(at);
                 }
-                PutStage::Sealed { seg, shard, at } => {
-                    let (seg, si, at) = (*seg, *shard, *at);
-                    if now < at {
-                        keep.push(p);
-                        continue;
-                    }
-                    match w.engine.shards[si]
-                        .tio
-                        .try_enqueue_copy_out_for(p.tenant, now.max(at), seg)
-                    {
-                        Some(ticket) => {
-                            p.stage = PutStage::CopyOut { ticket };
-                            keep.push(p);
-                        }
-                        None => keep.push(p),
-                    }
+                let tio = &w.engine.shards[shard].tio;
+                let Some(ticket) = tio.try_enqueue_copy_out_for(p.tenant, now, seg) else {
+                    // Request queue full: sleep until a copy-out
+                    // completes and frees a slot.
+                    tio.subscribe_copyout(me);
+                    return PutWait::Event;
+                };
+                ticket.watch(&w.waker, me);
+                p.stage = PutStage::CopyOut { ticket };
+            }
+            PutStage::CopyOut { ticket } => {
+                if !ticket.is_done() {
+                    return PutWait::Event;
                 }
-                PutStage::CopyOut { ticket } => {
-                    if !ticket.is_done() {
-                        keep.push(p);
-                        continue;
-                    }
-                    let result = match ticket.copyout_result() {
-                        Ok(done_at) => Ok(done_at),
-                        Err(_) => Err(ERR_COPYOUT),
-                    };
-                    w.respond(
-                        now,
-                        p.conn,
-                        ResponseFrame {
-                            req_id: p.req_id,
-                            result,
-                        },
-                    );
-                }
+                let result = match ticket.copyout_result() {
+                    Ok(done_at) => Ok(done_at),
+                    Err(_) => Err(ERR_COPYOUT),
+                };
+                w.respond(
+                    now,
+                    p.conn,
+                    ResponseFrame {
+                        req_id: p.req_id,
+                        result,
+                    },
+                );
+                return PutWait::Answered;
             }
         }
-        self.puts = keep;
     }
 }
 
@@ -516,12 +544,12 @@ impl Actor<FleetWorld> for WorkerActor {
                 self.handle(w, now, cid, f);
             }
         }
-        self.poll_gets(w, now);
-        self.poll_puts(w, now);
-        if self.gets.is_empty() && self.puts.is_empty() {
-            Step::Park
-        } else {
-            Step::Yield(now + POLL)
+        self.answer_gets(w, now);
+        // Open gets and copy-outs wake this worker when their tickets
+        // resolve; only stage timers need a timed resume.
+        match self.advance_puts(w, now) {
+            Some(t) => Step::Yield(t),
+            None => Step::Park,
         }
     }
 
@@ -687,6 +715,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         demand_fetches: demand,
         coalesced_fetches: coalesced,
         end_time,
+        sched_steps: sched.steps(),
     }
 }
 

@@ -245,4 +245,53 @@ mod tests {
         assert!(t1.fetch_result().is_ok());
         assert_eq!(eng.total_findings(), 0);
     }
+
+    /// Actor names on the park/wake events of one shard's trace.
+    fn park_wake_actors(eng: &ShardedEngine, shard: usize) -> Vec<String> {
+        eng.shards[shard]
+            .tio
+            .tracer()
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                hl_trace::EventKind::Park { actor } | hl_trace::EventKind::Wake { actor } => {
+                    Some(actor)
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_shard_traces_only_its_own_engine_actors() {
+        // Three shards on one scheduler; the same fetch on shards 0 and
+        // 2, none on shard 1.
+        let mut sched: Scheduler<()> = Scheduler::new();
+        let eng = ShardedEngine::build(4, 3, spec(), &mut sched);
+        let per = eng.per_shard;
+        let t0 = eng.session_for(0, 1).enqueue_demand(0, eng.locate(0).1);
+        let t2 = eng
+            .session_for(2 * per, 1)
+            .enqueue_demand(0, eng.locate(2 * per).1);
+        sched.run(&mut ());
+        assert!(t0.fetch_result().is_ok() && t2.fetch_result().is_ok());
+        let traced: Vec<Vec<String>> = (0..3).map(|s| park_wake_actors(&eng, s)).collect();
+        assert!(
+            traced[1].is_empty(),
+            "idle shard 1 recorded {:?}",
+            traced[1]
+        );
+        assert!(
+            !traced[0].is_empty(),
+            "shard 0 recorded none of its own actors"
+        );
+        assert_eq!(traced[0], traced[2], "symmetric shards trace alike");
+        for actor in traced.iter().flatten() {
+            assert!(
+                actor == "service-process" || actor.starts_with("io-server-d"),
+                "a non-engine actor reached a shard trace: {actor}"
+            );
+        }
+        assert_eq!(eng.total_findings(), 0);
+    }
 }

@@ -7,8 +7,15 @@
 //! and reports when it next wants to run. The [`Scheduler`] always resumes
 //! the actor with the smallest local time, which makes the interleaving —
 //! and therefore device contention — deterministic.
+//!
+//! Runnable actors sit in a binary-heap run queue keyed
+//! `(local time, spawn index)`: exactly one entry per runnable actor that
+//! is not currently running, so picking the next actor costs O(log n),
+//! and ties at equal times go to the earliest-spawned actor.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use crate::time::SimTime;
@@ -47,15 +54,32 @@ pub struct ActorId(usize);
 /// the server's last completion) finds it idle *at the caller's time*.
 /// Physical serialization still holds because the device models book
 /// their own busy horizons.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Waker {
-    inbox: Rc<RefCell<Vec<(ActorId, SimTime)>>>,
+    shared: Rc<WakeShared>,
+}
+
+/// State a [`Scheduler`] shares with its [`Waker`] handles.
+#[derive(Debug)]
+struct WakeShared {
+    /// Wakes posted since the scheduler last drained them.
+    inbox: RefCell<Vec<(ActorId, SimTime)>>,
+    /// The local time of the step running now (or of the last step run).
+    now: Cell<SimTime>,
 }
 
 impl Waker {
     /// Requests that actor `id` be woken at virtual time `at`.
     pub fn wake(&self, id: ActorId, at: SimTime) {
-        self.inbox.borrow_mut().push((id, at));
+        self.shared.inbox.borrow_mut().push((id, at));
+    }
+
+    /// Wakes actor `id` at the time of the scheduler step running now:
+    /// the completion-event form, for code that learns *that* something
+    /// happened but not *when* (a ticket resolving inside some other
+    /// actor's step). Outside a step it uses the last step's time.
+    pub fn wake_now(&self, id: ActorId) {
+        self.wake(id, self.shared.now.get());
     }
 
     /// Wakes every actor in `ids` at virtual time `at` (wake-all).
@@ -68,7 +92,7 @@ impl Waker {
     /// eligibility rules; wake-all keeps dispatch decisions in exactly
     /// one place and stays deterministic (wakes are drained in order).
     pub fn wake_many(&self, ids: &[ActorId], at: SimTime) {
-        let mut inbox = self.inbox.borrow_mut();
+        let mut inbox = self.shared.inbox.borrow_mut();
         for &id in ids {
             inbox.push((id, at));
         }
@@ -100,6 +124,8 @@ struct Slot<W> {
     /// A wake that arrived while the actor was runnable (or running):
     /// consumed by the next `Step::Park` so the wakeup is never lost.
     wake_pending: Option<SimTime>,
+    /// Where this actor's park/wake activity is recorded, if anywhere.
+    tracer: Option<hl_trace::Tracer>,
 }
 
 /// Runs a set of [`Actor`]s to completion in virtual-time order.
@@ -127,12 +153,18 @@ struct Slot<W> {
 /// ```
 pub struct Scheduler<W> {
     slots: Vec<Slot<W>>,
-    /// Wakes posted through [`Waker`] handles, drained each iteration.
-    inbox: Rc<RefCell<Vec<(ActorId, SimTime)>>>,
+    /// The run queue: one `(local, index)` entry per runnable slot that
+    /// is not running. A runnable slot's `local` changes only while it
+    /// runs (popped), so no entry ever goes stale.
+    runq: BinaryHeap<Reverse<(SimTime, usize)>>,
+    /// Wake inbox and step clock shared with [`Waker`] handles.
+    shared: Rc<WakeShared>,
+    /// Drain buffer swapped with the inbox, reused across iterations.
+    wake_buf: Vec<(ActorId, SimTime)>,
     /// Safety valve against actors that never advance time.
     max_steps: u64,
-    /// Optional trace recorder: park/wake activity is emitted into it.
-    tracer: Option<hl_trace::Tracer>,
+    /// Actor steps taken over the scheduler's lifetime.
+    steps: u64,
 }
 
 impl<W> Default for Scheduler<W> {
@@ -146,24 +178,35 @@ impl<W> Scheduler<W> {
     pub fn new() -> Self {
         Self {
             slots: Vec::new(),
-            inbox: Rc::new(RefCell::new(Vec::new())),
+            runq: BinaryHeap::new(),
+            shared: Rc::new(WakeShared {
+                inbox: RefCell::new(Vec::new()),
+                now: Cell::new(0),
+            }),
+            wake_buf: Vec::new(),
             max_steps: 500_000_000,
-            tracer: None,
+            steps: 0,
         }
     }
 
-    /// Attaches a trace recorder: every actual park (an actor going
-    /// idle) and every wake of a parked actor is emitted into it.
-    pub fn set_tracer(&mut self, tracer: hl_trace::Tracer) {
-        self.tracer = Some(tracer);
+    /// Records actor `id`'s park/wake activity in `tracer`: every actual
+    /// park (the actor going idle) and every wake of it while parked.
+    /// Actors never given a tracer are not recorded.
+    pub fn trace_actor(&mut self, id: ActorId, tracer: hl_trace::Tracer) {
+        self.slots[id.0].tracer = Some(tracer);
     }
 
     /// A wake handle for this scheduler's actors. Cloneable; actors (or
     /// shared state they hold) keep one to signal each other.
     pub fn waker(&self) -> Waker {
         Waker {
-            inbox: self.inbox.clone(),
+            shared: self.shared.clone(),
         }
+    }
+
+    /// Actor steps taken so far, over every `run`/`run_until` call.
+    pub fn steps(&self) -> u64 {
+        self.steps
     }
 
     /// Overrides the runaway-actor step limit (default 5·10⁸).
@@ -175,21 +218,26 @@ impl<W> Scheduler<W> {
     /// Adds an actor that first runs at time `at`. The returned
     /// [`ActorId`] is the actor's wake target.
     pub fn spawn_at<A: Actor<W> + 'static>(&mut self, at: SimTime, actor: A) -> ActorId {
-        self.slots.push(Slot {
-            actor: Box::new(actor),
-            local: at,
-            done: false,
-            parked: false,
-            wake_pending: None,
-        });
-        ActorId(self.slots.len() - 1)
+        let id = self.spawn(at, false, Box::new(actor));
+        self.runq.push(Reverse((at, id.0)));
+        id
     }
 
     /// Adds an actor in the parked state: it runs only once woken.
     pub fn spawn_parked<A: Actor<W> + 'static>(&mut self, actor: A) -> ActorId {
-        let id = self.spawn_at(0, actor);
-        self.slots[id.0].parked = true;
-        id
+        self.spawn(0, true, Box::new(actor))
+    }
+
+    fn spawn(&mut self, local: SimTime, parked: bool, actor: Box<dyn Actor<W>>) -> ActorId {
+        self.slots.push(Slot {
+            actor,
+            local,
+            done: false,
+            parked,
+            wake_pending: None,
+            tracer: None,
+        });
+        ActorId(self.slots.len() - 1)
     }
 
     /// Returns how many actors have not yet finished.
@@ -204,8 +252,11 @@ impl<W> Scheduler<W> {
 
     /// Applies queued wakes to their target slots.
     fn drain_wakes(&mut self) {
-        let wakes: Vec<(ActorId, SimTime)> = self.inbox.borrow_mut().drain(..).collect();
-        for (id, at) in wakes {
+        if self.shared.inbox.borrow().is_empty() {
+            return;
+        }
+        std::mem::swap(&mut *self.shared.inbox.borrow_mut(), &mut self.wake_buf);
+        for &(id, at) in &self.wake_buf {
             let Some(slot) = self.slots.get_mut(id.0) else {
                 continue;
             };
@@ -218,7 +269,8 @@ impl<W> Scheduler<W> {
                 // time even if that rewinds its local clock (devices
                 // enforce their own busy horizons).
                 slot.local = at;
-                if let Some(t) = &self.tracer {
+                self.runq.push(Reverse((at, id.0)));
+                if let Some(t) = &slot.tracer {
                     t.wake(at, slot.actor.name());
                 }
             } else {
@@ -228,6 +280,7 @@ impl<W> Scheduler<W> {
                 });
             }
         }
+        self.wake_buf.clear();
     }
 
     /// Runs until every actor is done *or parked* (quiescence). Returns
@@ -250,27 +303,22 @@ impl<W> Scheduler<W> {
     ///
     /// Panics if the step limit is exceeded (a stuck actor).
     pub fn run_until(&mut self, world: &mut W, horizon: SimTime) -> SimTime {
-        let mut steps: u64 = 0;
+        let first = self.steps;
         let mut furthest: SimTime = 0;
         loop {
             self.drain_wakes();
-            let next = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.done && !s.parked)
-                .min_by_key(|(_, s)| s.local)
-                .map(|(i, s)| (i, s.local));
-            let Some((idx, now)) = next else {
+            let Some(&Reverse((now, idx))) = self.runq.peek() else {
                 return furthest;
             };
             if now > horizon {
                 return furthest;
             }
+            self.runq.pop();
+            self.shared.now.set(now);
             furthest = furthest.max(now);
-            steps += 1;
+            self.steps += 1;
             assert!(
-                steps <= self.max_steps,
+                self.steps - first <= self.max_steps,
                 "scheduler exceeded {} steps; actor `{}` appears stuck at t={}",
                 self.max_steps,
                 self.slots[idx].actor.name(),
@@ -278,14 +326,20 @@ impl<W> Scheduler<W> {
             );
             let slot = &mut self.slots[idx];
             match slot.actor.step(world, now) {
-                Step::Yield(t) => slot.local = t.max(now),
+                Step::Yield(t) => {
+                    slot.local = t.max(now);
+                    self.runq.push(Reverse((slot.local, idx)));
+                }
                 Step::Park => match slot.wake_pending.take() {
                     // A wake raced the park: stay runnable. The wake time
                     // may legitimately precede `now` (see [`Waker`]).
-                    Some(t) => slot.local = t,
+                    Some(t) => {
+                        slot.local = t;
+                        self.runq.push(Reverse((t, idx)));
+                    }
                     None => {
                         slot.parked = true;
-                        if let Some(t) = &self.tracer {
+                        if let Some(t) = &slot.tracer {
                             t.park(now, slot.actor.name());
                         }
                     }

@@ -12,10 +12,20 @@
 //! - The open-addressed [`SegDir`] must agree with a `HashMap` oracle
 //!   under random fill / eject / rekey churn (the segment cache's op
 //!   mix), including tombstone-heavy histories.
+//! - The scheduler's heap run queue must pick exactly what a linear scan
+//!   over every slot picks (lowest local time, then lowest spawn index),
+//!   under random actor programs: yields into the past, parks, wakes
+//!   that rewind or advance a parked actor, wakes latched while the
+//!   target is runnable, late `spawn_parked`, and `run_until` horizons.
+//! - A watched [`Ticket`] wakes each watcher exactly once, at the time
+//!   of the step that resolved it.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
-use highlight::{Bloom, ReplicaSet, SegDir, Ticket, UniformMap};
+use highlight::{Bloom, Outcome, ReplicaSet, SegDir, Ticket, UniformMap};
+use hl_sim::{Actor, ActorId, Scheduler, SimTime, Step, Waker};
 use proptest::prelude::*;
 
 /// A small uniform map: 8 disk segments, 4 volumes × 16 slots. Tertiary
@@ -133,7 +143,6 @@ proptest! {
         complete_first in any::<bool>(),
         drop_mask in prop::collection::vec(any::<bool>(), 0..384),
     ) {
-        use highlight::Outcome;
         let mut all: Vec<Vec<Ticket>> = Vec::new();
         for (i, &n) in fanout.iter().enumerate() {
             let t = Ticket::new();
@@ -203,4 +212,359 @@ proptest! {
         slow_keys.sort_unstable();
         prop_assert_eq!(fast_keys, slow_keys);
     }
+}
+
+// ---- Run-queue equivalence ---------------------------------------------
+
+/// One step of a scripted actor: wakes to post (target index, signed
+/// offset from `now`), then what the step returns.
+#[derive(Clone, Debug)]
+struct ScriptStep {
+    wakes: Vec<(usize, i64)>,
+    then: Then,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Then {
+    /// `Yield(now + offset)`; a negative offset yields into the past.
+    Yield(i64),
+    Park,
+    Done,
+}
+
+/// Posts a wake by target index; the real scheduler and the model each
+/// supply their own.
+type Post = Rc<dyn Fn(usize, SimTime)>;
+
+/// Replays a script, logging `(actor, now)` on every step.
+struct Scripted {
+    me: usize,
+    steps: Vec<ScriptStep>,
+    pc: usize,
+    post: Post,
+}
+
+fn offset(now: SimTime, by: i64) -> SimTime {
+    (now as i64 + by).max(0) as SimTime
+}
+
+impl Actor<Vec<(usize, SimTime)>> for Scripted {
+    fn step(&mut self, log: &mut Vec<(usize, SimTime)>, now: SimTime) -> Step {
+        log.push((self.me, now));
+        let Some(s) = self.steps.get(self.pc) else {
+            return Step::Done;
+        };
+        self.pc += 1;
+        for &(target, by) in &s.wakes {
+            (self.post)(target, offset(now, by));
+        }
+        match s.then {
+            Then::Yield(by) => Step::Yield(offset(now, by)),
+            Then::Park => Step::Park,
+            Then::Done => Step::Done,
+        }
+    }
+}
+
+/// The reference: the scheduler's semantics with the linear scan over
+/// every slot (`min_by_key`, first minimum wins) that the heap replaced.
+struct ModelSlot {
+    actor: Box<dyn Actor<Vec<(usize, SimTime)>>>,
+    local: SimTime,
+    done: bool,
+    parked: bool,
+    wake_pending: Option<SimTime>,
+}
+
+#[derive(Default)]
+struct Model {
+    slots: Vec<ModelSlot>,
+    inbox: Rc<RefCell<Vec<(usize, SimTime)>>>,
+}
+
+impl Model {
+    fn spawn(&mut self, actor: Scripted, at: Option<SimTime>) {
+        self.slots.push(ModelSlot {
+            actor: Box::new(actor),
+            local: at.unwrap_or(0),
+            done: false,
+            parked: at.is_none(),
+            wake_pending: None,
+        });
+    }
+
+    fn run_until(&mut self, log: &mut Vec<(usize, SimTime)>, horizon: SimTime) -> SimTime {
+        let mut furthest = 0;
+        loop {
+            let wakes: Vec<(usize, SimTime)> = self.inbox.borrow_mut().drain(..).collect();
+            for (id, at) in wakes {
+                let slot = &mut self.slots[id];
+                if slot.done {
+                    continue;
+                }
+                if slot.parked {
+                    slot.parked = false;
+                    slot.local = at;
+                } else {
+                    slot.wake_pending = Some(slot.wake_pending.map_or(at, |t| t.min(at)));
+                }
+            }
+            let next = self
+                .slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| !s.done && !s.parked)
+                .min_by_key(|(_, s)| s.local)
+                .map(|(i, s)| (i, s.local));
+            let Some((idx, now)) = next else {
+                return furthest;
+            };
+            if now > horizon {
+                return furthest;
+            }
+            furthest = furthest.max(now);
+            let slot = &mut self.slots[idx];
+            match slot.actor.step(log, now) {
+                Step::Yield(t) => slot.local = t.max(now),
+                Step::Park => match slot.wake_pending.take() {
+                    Some(t) => slot.local = t,
+                    None => slot.parked = true,
+                },
+                Step::Done => {
+                    slot.done = true;
+                    furthest = furthest.max(slot.local);
+                }
+            }
+        }
+    }
+}
+
+fn script_strategy() -> impl Strategy<Value = Vec<ScriptStep>> {
+    prop::collection::vec(
+        (
+            prop::collection::vec((0usize..8, -12i64..12), 0..3),
+            0u8..10,
+            -6i64..10,
+        ),
+        0..12,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .map(|(wakes, kind, by)| ScriptStep {
+                wakes,
+                then: match kind {
+                    0..=4 => Then::Yield(by),
+                    5..=8 => Then::Park,
+                    _ => Then::Done,
+                },
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random actor programs under random external wakes, late parked
+    /// spawns and `run_until` horizons: the heap run queue and the
+    /// linear-scan model step the same `(actor, time)` sequence and
+    /// report the same furthest times.
+    #[test]
+    fn run_queue_matches_linear_scan_model(
+        actors in prop::collection::vec(
+            (script_strategy(), any::<bool>(), 0u64..20),
+            1..8,
+        ),
+        phases in prop::collection::vec(
+            (prop::collection::vec((0usize..8, 0u64..60), 0..3), 0u64..80, any::<bool>()),
+            1..6,
+        ),
+    ) {
+        // Actors spawned later (parked, between phases) start at the
+        // back; the first is always spawned up front.
+        let (early, late): (Vec<_>, Vec<_>) = actors
+            .into_iter()
+            .enumerate()
+            .partition(|(i, (_, up_front, _))| *i == 0 || *up_front);
+        let mut late = late.into_iter();
+
+        let mut sched: Scheduler<Vec<(usize, SimTime)>> = Scheduler::new();
+        let ids: Rc<RefCell<Vec<ActorId>>> = Rc::default();
+        let waker = sched.waker();
+        let real_post: Post = {
+            let ids = ids.clone();
+            Rc::new(move |target, at| {
+                if let Some(&id) = ids.borrow().get(target) {
+                    waker.wake(id, at);
+                }
+            })
+        };
+        let mut model = Model::default();
+        let model_post: Post = {
+            let inbox = model.inbox.clone();
+            let count = ids.clone();
+            Rc::new(move |target, at| {
+                if target < count.borrow().len() {
+                    inbox.borrow_mut().push((target, at));
+                }
+            })
+        };
+        let spawn = |sched: &mut Scheduler<_>, model: &mut Model, steps: Vec<ScriptStep>, at: Option<SimTime>| {
+            let me = ids.borrow().len();
+            let make = |post: &Post| Scripted { me, steps: steps.clone(), pc: 0, post: post.clone() };
+            let id = match at {
+                Some(t) => sched.spawn_at(t, make(&real_post)),
+                None => sched.spawn_parked(make(&real_post)),
+            };
+            model.spawn(make(&model_post), at);
+            ids.borrow_mut().push(id);
+        };
+        for (_, (steps, _, at)) in early {
+            spawn(&mut sched, &mut model, steps, Some(at));
+        }
+
+        let (mut real_log, mut model_log) = (Vec::new(), Vec::new());
+        for (wakes, horizon, spawn_one) in phases {
+            if spawn_one {
+                if let Some((_, (steps, _, _))) = late.next() {
+                    spawn(&mut sched, &mut model, steps, None);
+                }
+            }
+            let n = ids.borrow().len();
+            for (target, at) in wakes {
+                let target = target % n;
+                sched.waker().wake(ids.borrow()[target], at);
+                model.inbox.borrow_mut().push((target, at));
+            }
+            let real = sched.run_until(&mut real_log, horizon);
+            let reference = model.run_until(&mut model_log, horizon);
+            prop_assert_eq!(real, reference, "furthest time at horizon {}", horizon);
+            prop_assert_eq!(&real_log, &model_log);
+        }
+        let real = sched.run(&mut real_log);
+        let reference = model.run_until(&mut model_log, SimTime::MAX);
+        prop_assert_eq!(real, reference);
+        prop_assert_eq!(&real_log, &model_log);
+        prop_assert_eq!(sched.steps(), real_log.len() as u64);
+        let model_parked = model.slots.iter().filter(|s| !s.done && s.parked).count();
+        prop_assert_eq!(sched.parked_actors(), model_parked);
+    }
+}
+
+// ---- Ticket completion wakers ------------------------------------------
+
+/// The times a [`Watcher`] was stepped at.
+type WakeLog = Rc<RefCell<Vec<SimTime>>>;
+
+/// Parks until woken; logs `now` on every step.
+struct Watcher {
+    log: WakeLog,
+}
+
+impl Actor<()> for Watcher {
+    fn step(&mut self, _: &mut (), now: SimTime) -> Step {
+        self.log.borrow_mut().push(now);
+        Step::Park
+    }
+}
+
+/// Resolves `ticket` in its one step, at its spawn time.
+struct Resolver {
+    ticket: Ticket,
+}
+
+impl Actor<()> for Resolver {
+    fn step(&mut self, _: &mut (), _now: SimTime) -> Step {
+        self.ticket.complete_for_test(Outcome::Eject(true));
+        Step::Done
+    }
+}
+
+fn watcher(sched: &mut Scheduler<()>) -> (ActorId, WakeLog) {
+    let log = WakeLog::default();
+    let id = sched.spawn_parked(Watcher { log: log.clone() });
+    (id, log)
+}
+
+#[test]
+fn watcher_wakes_once_at_the_resolving_step() {
+    let mut sched: Scheduler<()> = Scheduler::new();
+    let (id, log) = watcher(&mut sched);
+    let ticket = Ticket::new();
+    let waker: Waker = sched.waker();
+    ticket.watch(&waker, id);
+    sched.spawn_at(
+        700,
+        Resolver {
+            ticket: ticket.clone(),
+        },
+    );
+    sched.run(&mut ());
+    assert_eq!(*log.borrow(), vec![700]);
+    assert!(ticket.is_done());
+    // Nothing left registered: a later run delivers no second wake.
+    sched.run(&mut ());
+    assert_eq!(log.borrow().len(), 1);
+}
+
+#[test]
+fn watching_a_resolved_ticket_registers_nothing() {
+    let mut sched: Scheduler<()> = Scheduler::new();
+    let (id, log) = watcher(&mut sched);
+    let ticket = Ticket::new();
+    ticket.complete_for_test(Outcome::Eject(false));
+    ticket.watch(&sched.waker(), id);
+    sched.run(&mut ());
+    assert!(
+        log.borrow().is_empty(),
+        "woken by an already-resolved ticket"
+    );
+    assert_eq!(sched.parked_actors(), 1);
+}
+
+#[test]
+fn coalesced_clones_wake_every_watcher() {
+    let mut sched: Scheduler<()> = Scheduler::new();
+    let (a, log_a) = watcher(&mut sched);
+    let (b, log_b) = watcher(&mut sched);
+    let ticket = Ticket::new();
+    let (ca, cb) = (ticket.clone(), ticket.clone());
+    let waker = sched.waker();
+    ca.watch(&waker, a);
+    cb.watch(&waker, b);
+    drop((ca, cb));
+    sched.spawn_at(42, Resolver { ticket });
+    sched.run(&mut ());
+    assert_eq!(*log_a.borrow(), vec![42]);
+    assert_eq!(*log_b.borrow(), vec![42]);
+}
+
+/// Finishes on its first step.
+struct Quitter;
+
+impl Actor<()> for Quitter {
+    fn step(&mut self, _: &mut (), _now: SimTime) -> Step {
+        Step::Done
+    }
+}
+
+#[test]
+fn wake_aimed_at_a_finished_actor_is_harmless() {
+    let mut sched: Scheduler<()> = Scheduler::new();
+    let gone = sched.spawn_at(0, Quitter);
+    let ticket = Ticket::new();
+    ticket.watch(&sched.waker(), gone);
+    sched.run(&mut ());
+    assert_eq!(sched.live_actors(), 0);
+    sched.spawn_at(
+        9,
+        Resolver {
+            ticket: ticket.clone(),
+        },
+    );
+    let end = sched.run(&mut ());
+    assert_eq!(end, 9);
+    assert!(ticket.is_done());
+    assert_eq!(sched.live_actors(), 0);
+    assert_eq!(sched.steps(), 2, "the finished actor never stepped again");
 }
